@@ -20,6 +20,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -31,22 +32,8 @@ from .potential import TrapSpec
 # 12 significant digits, scientific: reproducible diffs
 FLOAT_FMT = "%.11e"
 
-SUBCOMMANDS = (
-    "spectrum",
-    "resonances",
-    "survival",
-    "fidelity-map",
-    "dfg-estimates",
-    "split-gap",
-    "split-fidelity",
-    "units-convert",
-)
-
-_USAGE = (
-    "usage: atomprep <subcommand> [options]\n"
-    "subcommands: " + " | ".join(SUBCOMMANDS) + "\n"
-    "run 'atomprep <subcommand> --help' for options\n"
-)
+# Marks a parameter that has no default and must be given.
+REQUIRED = object()
 
 
 @dataclass
@@ -54,18 +41,20 @@ class RunConfig:
     """Resolved parameters of one CLI run.
 
     Values come from hard defaults, then the --config JSON file, then
-    explicit flags, later sources overriding earlier ones.
+    explicit flags, later sources overriding earlier ones.  params keeps
+    each value as given, for the manifest; cfg[name] is its typed form.
     """
 
     subcommand: str
     params: dict = field(default_factory=dict)
+    values: dict = field(default_factory=dict)
     out: Path = Path(".")
     fmt: str = "csv"
     plot: bool = False
     out_given: bool = False
 
     def __getitem__(self, key):
-        return self.params[key]
+        return self.values[key]
 
 
 # ---------------------------------------------------------------- output
@@ -110,37 +99,10 @@ def write_manifest(out_path: Path, cfg: RunConfig, outputs, results,
     write_json(path, manifest)
 
 
-def _plot_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".gp")
-
-
-# ------------------------------------------------------------ config merge
-
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config file {path} must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in raw.items()}
-
-
-def _resolve(ns, config: dict, name: str, default=None, required=False):
-    value = getattr(ns, name, None)
-    if value is None:
-        value = config.get(name, default)
-    if value is None and required:
-        raise ConfigurationError(f"missing required parameter --{name.replace('_', '-')}")
-    return value
-
+# ------------------------------------------------------------- parameters
 
 def _number(value, name: str) -> float:
+    """number"""
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -151,60 +113,73 @@ def _number(value, name: str) -> float:
 
 
 def _integer(value, name: str) -> int:
+    """integer"""
     num = _number(value, name)
     if num != int(num):
         raise ConfigurationError(f"parameter {name} must be an integer, got {value!r}")
     return int(num)
 
 
+_MASSES = {"li6": units.LITHIUM6_MASS}
+
+
+def _mass(value, name: str) -> float:
+    """'li6' or a particle mass in kg"""
+    if isinstance(value, str) and value.lower() in _MASSES:
+        return _MASSES[value.lower()]
+    return _number(value, name)
+
+
+def _switch(value, name: str) -> bool:
+    """switch"""
+    return bool(value)
+
+
+# A parameter's kind is the same in every subcommand; unlisted names are
+# numbers.  The converter's docstring is its --help text.
+_KINDS = {
+    "base_points": _integer, "peak": _integer, "points": _integer,
+    "nz": _integer, "nf": _integer, "nd": _integer, "workers": _integer,
+    "samples": _integer, "mass": _mass, "sudden": _switch,
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 # ------------------------------------------------------------- subcommands
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="JSON config file; flags override")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-    parser.add_argument("--plot", action="store_true", default=None,
-                        help="emit a gnuplot script beside the data file")
+def _scan(cfg: RunConfig):
+    """The trap and its scanned spectrum; emin/emax default to the scan window."""
+    spec = TrapSpec(cfg["z"], cfg["f"])
+    lo, hi = cfg["emin"], cfg["emax"]
+    if lo is None or hi is None:
+        window = culling.scan_window(spec)
+        lo = window[0] if lo is None else lo
+        hi = window[1] if hi is None else hi
+    return spec, scattering.scan_spectrum(spec, lo, hi, base_points=cfg["base_points"])
 
 
-def _parser(name: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog=f"atomprep {name}", allow_abbrev=False)
-    _add_common(p)
-    flags = {
-        "spectrum": ("z", "f", "emin", "emax", "base-points"),
-        "resonances": ("z", "f", "emin", "emax", "base-points"),
-        "survival": ("z", "f", "emin", "emax", "base-points", "peak",
-                     "tmax", "points", "window"),
-        "fidelity-map": ("zmin", "zmax", "fmin", "fmax", "nz", "nf",
-                         "residual", "workers"),
-        "dfg-estimates": ("kfa", "t-over-tf"),
-        "split-gap": ("dmin", "dmax", "fmin", "fmax", "nd", "nf", "spacing"),
-        "split-fidelity": ("d-target", "f-bias", "duration", "min-gap",
-                           "dmin", "dmax", "nd", "fmin", "fmax", "nf",
-                           "samples", "dt", "sudden"),
-        "units-convert": ("omega-hz", "mass", "moment-bohr", "length-um",
-                          "time-ms", "gradient-gcm", "length-osc", "time-osc"),
-    }[name]
-    for flag in flags:
-        if flag == "sudden":
-            p.add_argument("--sudden", action="store_true", default=None,
-                           help="replace the ramp by a single-step quench")
-        elif flag == "mass":
-            p.add_argument("--mass", default=None,
-                           help="'li6' or a particle mass in kg")
-        else:
-            p.add_argument("--" + flag, default=None)
-    return p
+def _survey(cfg: RunConfig, **kwargs):
+    return splitting.gap_map((cfg["dmin"], cfg["dmax"]), (cfg["fmin"], cfg["fmax"]),
+                             cfg["nd"], cfg["nf"], **kwargs)
+
+
+def _write_plot(out: Path, script) -> None:
+    out.with_name(out.stem + ".gp").write_text("\n".join(script) + "\n")
+
+
+def _document(cfg: RunConfig, doc: dict):
+    """Result of a subcommand that prints; doc is written only under --out."""
+    if not cfg.out_given:
+        return doc, []
+    write_json(cfg.out, doc)
+    return doc, [cfg.out]
 
 
 def _cmd_spectrum(cfg: RunConfig):
-    spec = TrapSpec(_number(cfg["z"], "z"), _number(cfg["f"], "f"))
-    sp = scattering.scan_spectrum(
-        spec,
-        _number(cfg["emin"], "emin"),
-        _number(cfg["emax"], "emax"),
-        base_points=_integer(cfg["base_points"], "base-points"),
-    )
+    _, sp = _scan(cfg)
     out = cfg.out
     write_csv(out, "energy [hbar*omega], p_value [arb], phase [rad]", sp.rows())
     peaks = [
@@ -225,19 +200,13 @@ def _cmd_spectrum(cfg: RunConfig):
                 f"to {FLOAT_FMT % pk.center}, graph 1 nohead dt 2"
             )
         script.append(f'plot "{out.name}" using 1:2 with lines title "P(E)"')
-        _plot_path(out).write_text("\n".join(script) + "\n")
+        _write_plot(out, script)
     print(f"wrote {out} ({len(sp)} samples, {len(peaks)} peaks)")
     return {"peaks": peaks, "samples": len(sp)}, [out]
 
 
 def _cmd_resonances(cfg: RunConfig):
-    spec = TrapSpec(_number(cfg["z"], "z"), _number(cfg["f"], "f"))
-    sp = scattering.scan_spectrum(
-        spec,
-        _number(cfg["emin"], "emin"),
-        _number(cfg["emax"], "emax"),
-        base_points=_integer(cfg["base_points"], "base-points"),
-    )
+    _, sp = _scan(cfg)
     rows, meta = [], []
     for k, pk in enumerate(sp.peaks):
         if pk.resolved:
@@ -259,26 +228,13 @@ def _cmd_resonances(cfg: RunConfig):
 
 
 def _cmd_survival(cfg: RunConfig):
-    spec = TrapSpec(_number(cfg["z"], "z"), _number(cfg["f"], "f"))
-    lo, hi = culling.scan_window(spec)
-    if cfg["emin"] is not None:
-        lo = _number(cfg["emin"], "emin")
-    if cfg["emax"] is not None:
-        hi = _number(cfg["emax"], "emax")
-    sp = scattering.scan_spectrum(
-        spec, lo, hi, base_points=_integer(cfg["base_points"], "base-points")
-    )
-    res = resonance.fit_lorentzian(sp, _integer(cfg["peak"], "peak"))
-    tmax = (2.0 * res.tau if cfg["tmax"] is None
-            else _number(cfg["tmax"], "tmax"))
-    n = _integer(cfg["points"], "points")
-    window = _number(cfg["window"], "window")
+    spec, sp = _scan(cfg)
+    res = resonance.fit_lorentzian(sp, cfg["peak"])
+    tmax = 2.0 * res.tau if cfg["tmax"] is None else cfg["tmax"]
+    n = cfg["points"]
     times = np.linspace(0.0, tmax, n)
     s_exp = resonance.survival_exponential(res, times)
-    s_spec = np.array(
-        [resonance.survival_from_spectrum(spec, res, t, window=window)
-         for t in times]
-    )
+    s_spec = resonance.survival_from_spectrum(spec, res, times, window=cfg["window"])
     out = cfg.out
     write_csv(
         out,
@@ -292,15 +248,14 @@ def _cmd_survival(cfg: RunConfig):
 
 def _cmd_fidelity_map(cfg: RunConfig):
     fmap = culling.fidelity_map(
-        (_number(cfg["zmin"], "zmin"), _number(cfg["zmax"], "zmax")),
-        (_number(cfg["fmin"], "fmin"), _number(cfg["fmax"], "fmax")),
-        _integer(cfg["nz"], "nz"),
-        _integer(cfg["nf"], "nf"),
-        residual_target=_number(cfg["residual"], "residual"),
-        workers=_integer(cfg["workers"], "workers"),
+        (cfg["zmin"], cfg["zmax"]),
+        (cfg["fmin"], cfg["fmax"]),
+        cfg["nz"],
+        cfg["nf"],
+        residual_target=cfg["residual"],
+        workers=cfg["workers"],
     )
     out = cfg.out
-    outputs = [out]
     if cfg.fmt == "json":
         write_json(out, fmap.as_document())
     else:
@@ -312,23 +267,21 @@ def _cmd_fidelity_map(cfg: RunConfig):
             fmap.rows(),
         )
         if cfg.plot:
-            script = [
+            _write_plot(out, [
                 'set datafile separator ","',
                 'set xlabel "tilt f"',
                 'set ylabel "trap size z"',
                 'set cblabel "log10 ground-state loss"',
                 f'splot "{out.name}" using 2:1:7 with points pt 5 ps 3 palette',
                 "pause -1",
-            ]
-            _plot_path(out).write_text("\n".join(script) + "\n")
+            ])
     n_ok = sum(1 for _ in fmap.ok_points())
     print(f"wrote {out} ({len(fmap.z_grid)}x{len(fmap.f_grid)} cells, {n_ok} ok)")
-    return {"cells": len(fmap.z_grid) * len(fmap.f_grid), "ok": n_ok}, outputs
+    return {"cells": len(fmap.z_grid) * len(fmap.f_grid), "ok": n_ok}, [out]
 
 
 def _cmd_dfg(cfg: RunConfig):
-    kfa = _number(cfg["kfa"], "kfa")
-    t_rel = _number(cfg["t_over_tf"], "t-over-tf")
+    kfa, t_rel = cfg["kfa"], cfg["t_over_tf"]
     gap = dfg.pairing_gap(kfa)
     occ_bcs = dfg.bcs_ground_occupation(gap)
     occ_thermal = dfg.thermal_ground_occupation(t_rel)
@@ -340,25 +293,14 @@ def _cmd_dfg(cfg: RunConfig):
     for note in dfg.FORMULA_NOTES:
         lines.append(f"note: {note}")
     print("\n".join(lines))
-    doc = {"kf_a": kfa, "t_over_tf": t_rel, "pairing_gap": gap,
-           "bcs_ground_occupation": occ_bcs,
-           "thermal_ground_occupation": occ_thermal,
-           "notes": list(dfg.FORMULA_NOTES)}
-    outputs = []
-    if cfg.out_given:
-        write_json(cfg.out, doc)
-        outputs.append(cfg.out)
-    return doc, outputs
+    return _document(cfg, {"kf_a": kfa, "t_over_tf": t_rel, "pairing_gap": gap,
+                           "bcs_ground_occupation": occ_bcs,
+                           "thermal_ground_occupation": occ_thermal,
+                           "notes": list(dfg.FORMULA_NOTES)})
 
 
 def _cmd_split_gap(cfg: RunConfig):
-    survey = splitting.gap_map(
-        (_number(cfg["dmin"], "dmin"), _number(cfg["dmax"], "dmax")),
-        (_number(cfg["fmin"], "fmin"), _number(cfg["fmax"], "fmax")),
-        _integer(cfg["nd"], "nd"),
-        _integer(cfg["nf"], "nf"),
-        spacing=_number(cfg["spacing"], "spacing"),
-    )
+    survey = _survey(cfg, spacing=cfg["spacing"])
     out = cfg.out
     write_csv(
         out,
@@ -367,49 +309,38 @@ def _cmd_split_gap(cfg: RunConfig):
         survey.rows(),
     )
     if cfg.plot:
-        script = [
+        _write_plot(out, [
             'set datafile separator ","',
             'set xlabel "separation d (x0)"',
             'set ylabel "gap (hbar*omega)"',
             'set logscale y',
             f'plot "{out.name}" using 1:5 with points title "e1 - e0"',
-        ]
-        _plot_path(out).write_text("\n".join(script) + "\n")
+        ])
     print(f"wrote {out} ({len(survey.separations)}x{len(survey.tilts)} cells)")
     return {"cells": len(survey.separations) * len(survey.tilts)}, [out]
 
 
 def _cmd_split_fidelity(cfg: RunConfig):
-    survey = splitting.gap_map(
-        (_number(cfg["dmin"], "dmin"), _number(cfg["dmax"], "dmax")),
-        (_number(cfg["fmin"], "fmin"), _number(cfg["fmax"], "fmax")),
-        _integer(cfg["nd"], "nd"),
-        _integer(cfg["nf"], "nf"),
-    )
-    d_target = _number(cfg["d_target"], "d-target")
-    f_bias = _number(cfg["f_bias"], "f-bias")
-    min_gap = _number(cfg["min_gap"], "min-gap")
-    duration = _number(cfg["duration"], "duration")
-    dt = _number(cfg["dt"], "dt")
-    path = splitting.plan_split_path(survey, d_target, min_gap, f_bias=f_bias)
-    if cfg.params.get("sudden"):
+    survey = _survey(cfg)
+    d_target, f_bias = cfg["d_target"], cfg["f_bias"]
+    path = splitting.plan_split_path(survey, d_target, cfg["min_gap"], f_bias=f_bias)
+    if cfg["sudden"]:
         ramp = [(0.0, 0.0, f_bias), (1e-6, d_target, f_bias)]
     else:
-        ramp = splitting.gap_adaptive_ramp(
-            survey, path, duration, samples=_integer(cfg["samples"], "samples")
-        )
-    fid = tdse.split_fidelity(ramp, dt=dt)
+        ramp = splitting.gap_adaptive_ramp(survey, path, cfg["duration"],
+                                           samples=cfg["samples"])
+    fid = tdse.split_fidelity(ramp, dt=cfg["dt"])
     bottleneck = min(
         splitting.path_gap(survey, node) for node in path
     )
     doc = {
         "fidelity": fid,
-        "sudden": bool(cfg.params.get("sudden")),
+        "sudden": cfg["sudden"],
         "d_target": d_target,
         "f_bias": f_bias,
-        "duration": duration,
-        "dt": dt,
-        "min_gap": min_gap,
+        "duration": cfg["duration"],
+        "dt": cfg["dt"],
+        "min_gap": cfg["min_gap"],
         "bottleneck_gap": bottleneck,
         "path_nodes": len(path),
     }
@@ -418,20 +349,12 @@ def _cmd_split_fidelity(cfg: RunConfig):
     return doc, [cfg.out]
 
 
-_MASSES = {"li6": units.LITHIUM6_MASS}
-
-
 def _cmd_units(cfg: RunConfig):
-    omega = 2.0 * math.pi * _number(cfg["omega_hz"], "omega-hz")
-    mass_arg = cfg["mass"] if cfg["mass"] is not None else "li6"
-    if isinstance(mass_arg, str) and mass_arg.lower() in _MASSES:
-        mass = _MASSES[mass_arg.lower()]
-    else:
-        mass = _number(mass_arg, "mass")
-    u = units.unit_system(mass, omega)
+    omega = 2.0 * math.pi * cfg["omega_hz"]
+    u = units.unit_system(cfg["mass"], omega)
     doc = {
         "omega_rad_per_s": omega,
-        "mass_kg": mass,
+        "mass_kg": cfg["mass"],
         "oscillator_length_m": u.length_scale,
         "energy_scale_j": u.energy_scale,
         "time_scale_s": u.time_scale,
@@ -443,129 +366,146 @@ def _cmd_units(cfg: RunConfig):
         f"time scale        = {FLOAT_FMT % u.time_scale} s",
         f"force scale       = {FLOAT_FMT % u.force_scale} N",
     ]
-    if cfg["length_um"] is not None:
-        si = _number(cfg["length_um"], "length-um") * 1e-6
-        doc["length_dimensionless"] = u.length_to_dimensionless(si)
-        lines.append(
-            f"length {cfg['length_um']} um  = "
-            f"{FLOAT_FMT % doc['length_dimensionless']} x0"
-        )
-    if cfg["time_ms"] is not None:
-        si = _number(cfg["time_ms"], "time-ms") * 1e-3
-        doc["time_dimensionless"] = u.time_to_dimensionless(si)
-        lines.append(
-            f"time {cfg['time_ms']} ms  = "
-            f"{FLOAT_FMT % doc['time_dimensionless']} trap units"
-        )
-    if cfg["gradient_gcm"] is not None:
-        moment = units.BOHR_MAGNETON * (
-            1.0 if cfg["moment_bohr"] is None
-            else _number(cfg["moment_bohr"], "moment-bohr")
-        )
-        newtons = units.force_from_gradient(
-            _number(cfg["gradient_gcm"], "gradient-gcm") * units.GAUSS_PER_CM,
-            moment=moment,
-        )
-        doc["force_dimensionless"] = u.force_to_dimensionless(newtons)
-        lines.append(
-            f"gradient {cfg['gradient_gcm']} G/cm  = "
-            f"{FLOAT_FMT % doc['force_dimensionless']} force units"
-        )
-    if cfg["length_osc"] is not None:
-        doc["length_si_m"] = u.length_to_si(_number(cfg["length_osc"], "length-osc"))
-        lines.append(f"length {cfg['length_osc']} x0  = "
-                     f"{FLOAT_FMT % doc['length_si_m']} m")
-    if cfg["time_osc"] is not None:
-        doc["time_si_s"] = u.time_to_si(_number(cfg["time_osc"], "time-osc"))
-        lines.append(f"time {cfg['time_osc']} trap units  = "
-                     f"{FLOAT_FMT % doc['time_si_s']} s")
+    moment = units.BOHR_MAGNETON * (
+        1.0 if cfg["moment_bohr"] is None else cfg["moment_bohr"]
+    )
+
+    def force(gcm):
+        newtons = units.force_from_gradient(gcm * units.GAUSS_PER_CM, moment=moment)
+        return u.force_to_dimensionless(newtons)
+
+    # optional input -> (document key, conversion, echo of the input as given)
+    conversions = {
+        "length_um": ("length_dimensionless", lambda um: u.length_to_dimensionless(um * 1e-6),
+                      "length {} um  = {} x0"),
+        "time_ms": ("time_dimensionless", lambda ms: u.time_to_dimensionless(ms * 1e-3),
+                    "time {} ms  = {} trap units"),
+        "gradient_gcm": ("force_dimensionless", force, "gradient {} G/cm  = {} force units"),
+        "length_osc": ("length_si_m", u.length_to_si, "length {} x0  = {} m"),
+        "time_osc": ("time_si_s", u.time_to_si, "time {} trap units  = {} s"),
+    }
+    for key, (doc_key, convert, echo) in conversions.items():
+        if cfg[key] is not None:
+            doc[doc_key] = convert(cfg[key])
+            lines.append(echo.format(cfg.params[key], FLOAT_FMT % doc[doc_key]))
     print("\n".join(lines))
-    outputs = []
-    if cfg.out_given:
-        write_json(cfg.out, doc)
-        outputs.append(cfg.out)
-    return doc, outputs
+    return _document(cfg, doc)
 
 
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "resonances": _cmd_resonances,
-    "survival": _cmd_survival,
-    "fidelity-map": _cmd_fidelity_map,
-    "dfg-estimates": _cmd_dfg,
-    "split-gap": _cmd_split_gap,
-    "split-fidelity": _cmd_split_fidelity,
-    "units-convert": _cmd_units,
+# ---------------------------------------------------------- command table
+
+class Command(NamedTuple):
+    """One subcommand: handler(cfg) -> (results, outputs), the default
+    output file, and each parameter's default or REQUIRED."""
+
+    handler: Callable
+    out: str
+    params: dict
+
+
+_SCAN = {"z": REQUIRED, "f": REQUIRED, "emin": REQUIRED, "emax": REQUIRED,
+         "base_points": 160}
+_SURVEY = {"dmin": 0.0, "dmax": 5.0, "nd": 26, "fmin": 0.08, "fmax": 0.16, "nf": 5}
+
+COMMANDS = {
+    "spectrum": Command(_cmd_spectrum, "spectrum.csv", _SCAN),
+    "resonances": Command(_cmd_resonances, "resonances.csv", _SCAN),
+    "survival": Command(_cmd_survival, "survival.csv", {
+        **_SCAN, "emin": None, "emax": None, "peak": 0, "tmax": None,
+        "points": 200, "window": 60.0}),
+    "fidelity-map": Command(_cmd_fidelity_map, "fidelity_map.csv", {
+        "zmin": REQUIRED, "zmax": REQUIRED, "fmin": REQUIRED, "fmax": REQUIRED,
+        "nz": REQUIRED, "nf": REQUIRED, "residual": culling.RESIDUAL_DEFAULT,
+        "workers": 1}),
+    "dfg-estimates": Command(_cmd_dfg, "dfg_estimates.json",
+                             {"kfa": -0.3, "t_over_tf": 0.1}),
+    "split-gap": Command(_cmd_split_gap, "split_gap.csv",
+                         {**_SURVEY, "spacing": 0.01}),
+    "split-fidelity": Command(_cmd_split_fidelity, "split_fidelity.json", {
+        **_SURVEY, "d_target": 4.82, "f_bias": 0.12, "duration": 400.0,
+        "min_gap": 0.05, "samples": 400, "dt": 0.005, "sudden": False}),
+    "units-convert": Command(_cmd_units, "units_convert.json", {
+        "omega_hz": REQUIRED, "mass": "li6", "moment_bohr": None,
+        "length_um": None, "time_ms": None, "gradient_gcm": None,
+        "length_osc": None, "time_osc": None}),
 }
 
-_DEFAULT_OUT = {
-    "spectrum": "spectrum.csv",
-    "resonances": "resonances.csv",
-    "survival": "survival.csv",
-    "fidelity-map": "fidelity_map.csv",
-    "dfg-estimates": "dfg_estimates.json",
-    "split-gap": "split_gap.csv",
-    "split-fidelity": "split_fidelity.json",
-    "units-convert": "units_convert.json",
-}
+_USAGE = (
+    "usage: atomprep <subcommand> [options]\n"
+    "subcommands: " + " | ".join(COMMANDS) + "\n"
+    "run 'atomprep <subcommand> --help' for options\n"
+)
 
-_DEFAULTS = {
-    "spectrum": {"base_points": 160},
-    "resonances": {"base_points": 160},
-    "survival": {"base_points": 160, "peak": 0, "points": 200, "window": 60.0,
-                 "emin": None, "emax": None, "tmax": None},
-    "fidelity-map": {"residual": culling.RESIDUAL_DEFAULT, "workers": 1},
-    "dfg-estimates": {"kfa": -0.3, "t_over_tf": 0.1},
-    "split-gap": {"dmin": 0.0, "dmax": 5.0, "nd": 26, "nf": 5,
-                  "fmin": 0.08, "fmax": 0.16, "spacing": 0.01},
-    "split-fidelity": {"d_target": 4.82, "f_bias": 0.12, "duration": 400.0,
-                       "min_gap": 0.05, "dmin": 0.0, "dmax": 5.0, "nd": 26,
-                       "fmin": 0.08, "fmax": 0.16, "nf": 5, "samples": 400,
-                       "dt": 0.005, "sudden": False},
-    "units-convert": {"mass": "li6", "moment_bohr": None, "length_um": None,
-                      "time_ms": None, "gradient_gcm": None,
-                      "length_osc": None, "time_osc": None},
-}
 
-_REQUIRED = {
-    "spectrum": ("z", "f", "emin", "emax"),
-    "resonances": ("z", "f", "emin", "emax"),
-    "survival": ("z", "f"),
-    "fidelity-map": ("zmin", "zmax", "fmin", "fmax", "nz", "nf"),
-    "dfg-estimates": (),
-    "split-gap": ("fmin", "fmax"),
-    "split-fidelity": (),
-    "units-convert": ("omega_hz",),
-}
+def _parser(name: str) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(prog=f"atomprep {name}", allow_abbrev=False)
+    p.add_argument("--config", help="JSON config file keyed by flag name; flags override")
+    p.add_argument("--out", help="output file path")
+    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--plot", action="store_true", default=None,
+                   help="emit a gnuplot script beside the data file")
+    for key, default in COMMANDS[name].params.items():
+        kind = _KINDS.get(key, _number)
+        switch = {"action": "store_true", "default": None} if kind is _switch else {}
+        given = "required" if default is REQUIRED else f"default {default}"
+        p.add_argument(_flag(key), help=f"{kind.__doc__}; {given}", **switch)
+    return p
+
+
+def _load_config(path, keys) -> dict:
+    """The --config JSON object with '-' in keys read as '_'; keys outside
+    `keys` are rejected."""
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config file {path} must hold a JSON object")
+    config = {str(k).replace("-", "_"): v for k, v in raw.items()}
+    unknown = sorted(set(config) - set(keys))
+    if unknown:
+        raise ConfigurationError(
+            f"config file {path} has unknown keys: {', '.join(unknown)}"
+        )
+    return config
 
 
 def _build_config(name: str, ns: argparse.Namespace) -> RunConfig:
-    config = _load_config(ns.config)
-    params = {}
-    names = set(_DEFAULTS[name]) | set(_REQUIRED[name])
-    names |= {
-        k.replace("-", "_")
-        for k in vars(ns)
-        if k not in ("config", "out", "fmt", "plot")
-    }
-    for key in sorted(names):
-        params[key] = _resolve(
-            ns, config, key,
-            default=_DEFAULTS[name].get(key),
-            required=key in _REQUIRED[name],
-        )
-    out = _resolve(ns, config, "out")
+    """Merge defaults, config file and flags, and convert every parameter."""
+    declared = COMMANDS[name].params
+    config = _load_config(ns.config, (*declared, "out", "format", "plot"))
+
+    def given(key, default=None):
+        value = getattr(ns, key)
+        return config.get(key, default) if value is None else value
+
+    params, values = {}, {}
+    for key, default in sorted(declared.items()):
+        value = given(key, None if default is REQUIRED else default)
+        if value is None and default is REQUIRED:
+            raise ConfigurationError(f"missing required parameter {_flag(key)}")
+        params[key] = value
+        # an optional parameter without a default may stay unset
+        if not (value is None and default is None):
+            value = _KINDS.get(key, _number)(value, key.replace("_", "-"))
+        values[key] = value
+    out = given("out")
     out_given = out is not None
-    fmt = _resolve(ns, config, "fmt", default="csv")
+    fmt = given("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
     if out is None:
-        out = _DEFAULT_OUT[name]
+        out = COMMANDS[name].out
         if fmt == "json" and out.endswith(".csv"):
             out = out[:-4] + ".json"
-    plot = bool(_resolve(ns, config, "plot", default=False))
-    return RunConfig(subcommand=name, params=params, out=Path(out),
-                     fmt=fmt, plot=plot, out_given=out_given)
+    return RunConfig(subcommand=name, params=params, values=values,
+                     out=Path(out), fmt=fmt, plot=bool(given("plot", False)),
+                     out_given=out_given)
 
 
 def run(argv) -> int:
@@ -576,7 +516,7 @@ def run(argv) -> int:
         stream.write(_USAGE)
         return 0 if argv else 64
     name = argv[0]
-    if name not in _HANDLERS:
+    if name not in COMMANDS:
         sys.stderr.write(f"unknown subcommand: {name}\n{_USAGE}")
         return 64
     try:
@@ -588,7 +528,7 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         cfg = _build_config(name, ns)
-        results, outputs = _HANDLERS[name](cfg)
+        results, outputs = COMMANDS[name].handler(cfg)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -16,6 +16,7 @@ per-cell failures are recorded without aborting the sweep.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -274,8 +275,11 @@ def fidelity_map(
     residual_target : float
         Excited-state residual the holding time is chosen against.
     workers : int
-        Process count for the sweep; 1 runs in-process.
+        Process count for the sweep, >= 1; 1 runs in-process.  At most
+        one process per cell and per CPU is started.
     """
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     if nz < 1 or nf < 1:
         raise DomainError(f"grid sizes must be >= 1, got {nz} x {nf}")
     if not (0.0 < residual_target < 0.1):
@@ -292,6 +296,7 @@ def fidelity_map(
     tasks = [
         (float(z), float(f), residual_target) for z in z_grid for f in f_grid
     ]
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_point_task, tasks, chunksize=4))

@@ -150,33 +150,16 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
     return width
 
 
-def _fit_both(xi, q):
-    """Lorentzian and Gaussian fits in peak-scaled coordinates."""
+def _fit(shape, xi, q, width0):
+    """Fit shape in peak-scaled coordinates: parameters and relative residual."""
 
     b0 = float(np.min(q))
     # near-degenerate covariance is expected for clean synthetic-like peaks;
     # only the parameter vector is used
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OptimizeWarning)
-        p_l, _ = curve_fit(
-            _lorentz,
-            xi,
-            q,
-            p0=(1.0 - b0, 0.0, 1.0, b0),
-            maxfev=20000,
-        )
-        a, x0, w, b = p_l
-        res_l = float(np.sqrt(np.mean((_lorentz(xi, *p_l) - q) ** 2))) / abs(a)
-
-        p_g, _ = curve_fit(
-            _gauss,
-            xi,
-            q,
-            p0=(1.0 - b0, 0.0, 1.0 / 2.3548, b0),
-            maxfev=20000,
-        )
-    res_g = float(np.sqrt(np.mean((_gauss(xi, *p_g) - q) ** 2))) / abs(p_g[0])
-    return (float(a), float(x0), abs(float(w)), float(b)), res_l, res_g
+        p, _ = curve_fit(shape, xi, q, p0=(1.0 - b0, 0.0, width0, b0), maxfev=20000)
+    return p, float(np.sqrt(np.mean((shape(xi, *p) - q) ** 2))) / abs(p[0])
 
 
 def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
@@ -200,7 +183,6 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
         )
 
     e0, gamma = peak.center, peak.width_estimate
-    fitted = None
     for _ in range(2):  # half-max estimate, then one re-estimation pass
         # Stay inside this peak's territory: the window may otherwise
         # creep over the saddle and pick up a far taller neighbor.
@@ -217,11 +199,12 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
         ref = float(np.max(log_r))
         xi = (e - e0) / gamma
         q = np.exp(log_r - ref)
-        (a, x0, w, b), res_l, res_g = _fit_both(xi, q)
-        fitted = (e0 + x0 * gamma, w * gamma, a, b, ref, res_l, res_g)
-        e0, gamma = fitted[0], fitted[1]
+        (a, x0, w, b), res_l = _fit(_lorentz, xi, q, 1.0)
+        e0, gamma = e0 + float(x0) * gamma, abs(float(w)) * gamma
+    # the Gaussian only scores the lineshape, on the final window
+    _, res_g = _fit(_gauss, xi, q, 1.0 / 2.3548)
 
-    e0, gamma, a, b, ref, res_l, res_g = fitted
+    a, b = float(a), float(b)
     if gamma <= 0.0 or not math.isfinite(gamma):
         raise NumericalError(f"Lorentzian fit collapsed at {e0:g}")
 

@@ -304,6 +304,27 @@ class TestUnitsConvertCommand:
         assert "cannot read config file" in capsys.readouterr().err
 
 
+class TestConfigKeys:
+    def test_format_key_is_read(self, tmp_path, monkeypatch):
+        # every cell of this grid is out of range, so nothing is scanned
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"format": "json"}))
+        assert cli.run(["fidelity-map", "--zmin", "3", "--zmax", "3.5",
+                        "--fmin", "0.3", "--fmax", "0.5", "--nz", "2",
+                        "--nf", "2", "--config", "cfg.json"]) == 0
+        doc = json.loads((tmp_path / "fidelity_map.json").read_text())
+        assert [c["status"] for c in doc["cells"]] == ["out-of-range"] * 4
+
+    def test_undeclared_key_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"kfa": -0.2,
+                                                       "bogus_key": 1}))
+        assert cli.run(["dfg-estimates", "--config", "cfg.json",
+                        "--out", "dfg.json"]) == 2
+        assert "bogus_key" in capsys.readouterr().err
+        assert not (tmp_path / "dfg.json").exists()
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("atomprep")

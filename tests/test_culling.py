@@ -5,6 +5,7 @@ import math
 import pytest
 from pytest import approx
 
+from atomprep import culling
 from atomprep.culling import (
     CullingPoint,
     FidelityMap,
@@ -263,6 +264,40 @@ class TestFidelityMap:
         with pytest.raises(DomainError):
             FidelityMap(z_grid=[4.0, 5.0], f_grid=[0.3], points=[[None]],
                         status=[[STATUS_OK]], notes={}, residual_target=1e-5)
+        for workers in (0, -2):
+            with pytest.raises(DomainError, match="workers"):
+                fidelity_map((4.0, 5.0), (0.3, 0.5), 3, 3, workers=workers)
+
+    @pytest.mark.parametrize("workers, cpus, cells, started", [
+        (8, 4, 6, 4),    # capped by the CPU count
+        (3, 4, 6, 3),    # as asked
+        (100, 64, 2, 2),  # capped by the cell count
+        (2, 1, 6, None),  # one CPU runs in-process
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, workers, cpus, cells, started):
+        sizes = []
+
+        class FakePool:
+            """Records its size and maps in-process; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(culling, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(culling.os, "cpu_count", lambda: cpus)
+        # every cell of this grid is out of range, so nothing is scanned
+        m = fidelity_map((3.0, 4.0), (0.3, 0.7), cells // 2, 2, workers=workers)
+        assert sizes == ([] if started is None else [started])
+        assert all(st == STATUS_OUT_OF_RANGE for row in m.status for st in row)
 
 
 class TestHoldAndRestoreReport:
