@@ -103,6 +103,8 @@ def write_manifest(out_path: Path, cfg: RunConfig, outputs, results,
 
 def _number(value, name: str) -> float:
     """number"""
+    if isinstance(value, bool):  # JSON true/false would pass float() as 1/0
+        raise ConfigurationError(f"parameter {name} must be a number, got {value!r}")
     try:
         out = float(value)
     except (TypeError, ValueError):
@@ -132,7 +134,9 @@ def _mass(value, name: str) -> float:
 
 def _switch(value, name: str) -> bool:
     """switch"""
-    return bool(value)
+    if not isinstance(value, bool):  # "false" is a true string
+        raise ConfigurationError(f"parameter {name} must be true or false, got {value!r}")
+    return value
 
 
 # A parameter's kind is the same in every subcommand; unlisted names are

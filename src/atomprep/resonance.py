@@ -90,14 +90,6 @@ def _bw_secant_slope(lo: float, hi: float, gamma: float) -> float:
     return (math.atan(2.0 * hi) - math.atan(2.0 * lo)) / ((hi - lo) * gamma)
 
 
-def _phase_at(spec: TrapSpec, energy: float) -> float:
-    return scattering.match_amplitude(spec, energy).phase
-
-
-def _phase_diff(spec: TrapSpec, e_hi: float, e_lo: float) -> float:
-    return math.remainder(_phase_at(spec, e_hi) - _phase_at(spec, e_lo), 2.0 * math.pi)
-
-
 def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
     """Width estimate 2/(d theta/dE) from the matching-phase slope at e0.
 
@@ -120,14 +112,16 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
             )
 
     h = _PHASE_STEP * scale
-    slope_raw = _phase_diff(spec, e0 + h, e0 - h) / (2.0 * h)
-
-    secant_hi = _phase_diff(
-        spec, e0 + _BG_PROBE_FAR * scale, e0 + _BG_PROBE_NEAR * scale
-    ) / ((_BG_PROBE_FAR - _BG_PROBE_NEAR) * scale)
-    secant_lo = _phase_diff(
-        spec, e0 - _BG_PROBE_NEAR * scale, e0 - _BG_PROBE_FAR * scale
-    ) / ((_BG_PROBE_FAR - _BG_PROBE_NEAR) * scale)
+    near, far = _BG_PROBE_NEAR * scale, _BG_PROBE_FAR * scale
+    # the six probe phases in one matching call, as (high, low) pairs
+    probes = np.array([e0 + h, e0 - h, e0 + far, e0 + near, e0 - near, e0 - far])
+    phase = scattering.match_amplitude(spec, probes).phase
+    central, upper, lower = (
+        math.remainder(d, 2.0 * math.pi) for d in phase[0::2] - phase[1::2]
+    )
+    slope_raw = central / (2.0 * h)
+    secant_hi = upper / ((_BG_PROBE_FAR - _BG_PROBE_NEAR) * scale)
+    secant_lo = lower / ((_BG_PROBE_FAR - _BG_PROBE_NEAR) * scale)
     # Remove the resonance's own tail from the background secants; the
     # tail slope uses the probe geometry's width scale.
     tail = _bw_secant_slope(_BG_PROBE_NEAR, _BG_PROBE_FAR, scale)

@@ -24,12 +24,12 @@ floats; ``log_response`` stays exact.
 from __future__ import annotations
 
 import math
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
+from ._arrays import all_of, as_floats, first_failing, log_abs, where
 from .errors import DomainError, NumericalError
 from .potential import TrapSpec, trap_geometry
 
@@ -66,59 +66,58 @@ def energy_cap(spec: TrapSpec) -> float:
     return min(shelf, trap_geometry(spec).edge_height + SCAN_CAP_MARGIN)
 
 
-def interior_wave(spec: TrapSpec, energy: float, x: float | None = None):
+def interior_wave(spec: TrapSpec, energy, x=None):
     """Value and derivative of the interior solution, default at the edge.
 
     The interior solution of the tilted parabola V = x^2/2 + f*x at
     energy E is exp(-u^2/2) * H_nu(u) with u = x + f and degree
     nu = E + f^2/2 - 1/2; it decays as x -> +infinity for every real nu.
-    Energies must lie below the exterior shelf size^2/8.
+    Energies must lie below the exterior shelf size^2/8.  energy and x
+    may be arrays (they broadcast); the results are then arrays.
     """
 
-    energy = float(energy)
-    if not math.isfinite(energy):
-        raise DomainError("energy must be finite")
-    if energy >= 0.125 * spec.size * spec.size:
+    energy = as_floats(energy)
+    shelf = 0.125 * spec.size * spec.size
+    below = (energy > -math.inf) & (energy < shelf)
+    if not all_of(below):
         raise DomainError(
-            f"energy {energy:g} at or above the exterior shelf "
-            f"{0.125 * spec.size * spec.size:g}; interior solution capped there"
+            f"energy {first_failing(energy, below):g} not finite or at or above the "
+            f"exterior shelf {shelf:g}; interior solution capped there"
         )
-    if x is None:
-        x = spec.edge
-    u = float(x) + spec.tilt
+    u = (spec.edge if x is None else as_floats(x)) + spec.tilt
     nu = energy + 0.5 * spec.tilt * spec.tilt - 0.5
-    h = specfun.hermite(nu, u)
-    dh = specfun.hermite_deriv(nu, u)
-    g = math.exp(-0.5 * u * u)
+    h, dh = specfun.hermite_pair(nu, u)
+    g = np.exp(-0.5 * u * u)
     return g * h, g * (dh - u * h)
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Matched solution at one energy.
+    """Matched solution at one energy, or at each of an array of energies.
 
     ai_coeff, bi_coeff are the exterior Airy coefficients normalized to
     ai_coeff^2 + bi_coeff^2 = 1; interior_amplitude is the (nonnegative)
     interior prefactor under that normalization, and phase is
-    atan2(bi_coeff, ai_coeff) at this single energy (unwrapping happens
-    along a scan).  log_response = 2*ln(interior_amplitude) stays finite
-    when the amplitude itself underflows.
+    atan2(bi_coeff, ai_coeff) at each energy on its own (unwrapping
+    happens along a scan).  log_response = 2*ln(interior_amplitude)
+    stays finite when the amplitude itself underflows.  Fields are
+    floats for a float energy and arrays of its shape otherwise.
     """
 
-    energy: float
-    ai_coeff: float
-    bi_coeff: float
-    interior_amplitude: float
-    phase: float
-    log_response: float
+    energy: float | np.ndarray
+    ai_coeff: float | np.ndarray
+    bi_coeff: float | np.ndarray
+    interior_amplitude: float | np.ndarray
+    phase: float | np.ndarray
+    log_response: float | np.ndarray
 
     @property
-    def response(self) -> float:
+    def response(self):
         """Squared interior amplitude, the density-of-states proxy."""
-        return math.exp(self.log_response)
+        return np.exp(self.log_response)
 
 
-def match_amplitude(spec: TrapSpec, energy: float) -> MatchResult:
+def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
     """Match interior and exterior solutions at the trap edge.
 
     Solves [Ai(s_e), Bi(s_e); sigma Ai'(s_e), sigma Bi'(s_e)] (alpha, beta)^T
@@ -128,31 +127,41 @@ def match_amplitude(spec: TrapSpec, energy: float) -> MatchResult:
     alpha^2 + beta^2 = 1 with a >= 0.  Requires tilt > 0 (a flat shelf
     has no open channel) and 0 < E < barrier + SCAN_CAP_MARGIN; the
     interior solver additionally caps E below size^2/8.
+
+    energy may be an array: every energy is matched in the same call,
+    element by element, and a float energy goes through the same
+    arithmetic.  A lost Airy Wronskian or a trivial interior solution
+    raises NumericalError naming the first energy it happened at.
     """
 
-    energy = float(energy)
+    energy = as_floats(energy)
     if spec.tilt == 0.0:
         raise DomainError("zero tilt: exterior is flat, no open channel to match")
-    geom = trap_geometry(spec)
-    if not 0.0 < energy < geom.edge_height + SCAN_CAP_MARGIN:
+    # the exterior ramp V = size^2/8 + f*x meets the barrier top at the edge
+    shelf = 0.125 * spec.size * spec.size
+    top = shelf + spec.tilt * spec.edge + SCAN_CAP_MARGIN
+    inside = (energy > 0.0) & (energy < top)
+    if not all_of(inside):
         raise DomainError(
-            f"energy {energy:g} outside the matching window "
-            f"(0, {geom.edge_height + SCAN_CAP_MARGIN:g})"
+            f"energy {first_failing(energy, inside):g} outside the matching window "
+            f"(0, {top:g})"
         )
 
     value, deriv = interior_wave(spec, energy)
 
     sigma = (2.0 * spec.tilt) ** (1.0 / 3.0)
-    shelf = 0.125 * spec.size * spec.size
     turning = (energy - shelf) / spec.tilt
     s_edge = sigma * (spec.edge - turning)
     ai_e, aip_e, bi_e, bip_e, chi = specfun.airy_scaled(s_edge)
 
     # Scaled Wronskian check; the exp factors cancel identically.
     wronskian = ai_e * bip_e - aip_e * bi_e
-    if not math.isfinite(wronskian) or abs(wronskian * math.pi - 1.0) > 1e-6:
+    kept = abs(wronskian * math.pi - 1.0) <= 1e-6
+    if not all_of(kept):
         raise NumericalError(
-            f"Airy Wronskian lost at s={s_edge:g}: pi*W = {wronskian * math.pi:g}"
+            f"Airy Wronskian lost at E={first_failing(energy, kept):g} "
+            f"(s={first_failing(s_edge, kept):g}): "
+            f"pi*W = {first_failing(wronskian, kept) * math.pi:g}"
         )
 
     # Cramer's rule against the true (unscaled) pair, with the exp(chi)
@@ -161,30 +170,24 @@ def match_amplitude(spec: TrapSpec, energy: float) -> MatchResult:
     slope = deriv / sigma
     alpha_s = math.pi * (value * bip_e - slope * bi_e)
     beta_s = math.pi * (slope * ai_e - value * aip_e)
-    if alpha_s == 0.0 and beta_s == 0.0:
-        raise NumericalError(f"trivial interior solution at E={energy:g}")
+    live = (alpha_s != 0.0) | (beta_s != 0.0)
+    if not all_of(live):
+        raise NumericalError(
+            f"trivial interior solution at E={first_failing(energy, live):g}"
+        )
 
-    with np.errstate(divide="ignore"):
-        log_alpha = float(np.log(abs(alpha_s))) + chi
-        log_beta = float(np.log(abs(beta_s))) - chi
+    log_alpha = log_abs(alpha_s) + chi
+    log_beta = log_abs(beta_s) - chi
 
     # response = 1/(alpha^2 + beta^2) under unit interior amplitude.
-    log_response = -float(np.logaddexp(2.0 * log_alpha, 2.0 * log_beta))
-    amplitude = math.exp(0.5 * log_response)
-
+    log_response = -np.logaddexp(2.0 * log_alpha, 2.0 * log_beta)
     half = 0.5 * log_response
-    ai_coeff = math.copysign(math.exp(log_alpha + half), alpha_s) if alpha_s else 0.0
-    bi_coeff = math.copysign(math.exp(log_beta + half), beta_s) if beta_s else 0.0
-    phase = math.atan2(bi_coeff, ai_coeff)
-
-    return MatchResult(
-        energy=energy,
-        ai_coeff=ai_coeff,
-        bi_coeff=bi_coeff,
-        interior_amplitude=amplitude,
-        phase=phase,
-        log_response=log_response,
-    )
+    ai_coeff = np.exp(log_alpha + half)
+    bi_coeff = np.exp(log_beta + half)
+    ai_coeff = where(alpha_s < 0.0, -ai_coeff, ai_coeff)
+    bi_coeff = where(beta_s < 0.0, -bi_coeff, bi_coeff)
+    return MatchResult(energy, ai_coeff, bi_coeff, np.exp(half),
+                       np.arctan2(bi_coeff, ai_coeff), log_response)
 
 
 def exterior_wave(result: MatchResult, spec: TrapSpec, x: float) -> float:
@@ -254,66 +257,66 @@ class Spectrum:
         yield from zip(self.energies, self.responses, self.phases)
 
 
-def _wrap(delta: float) -> float:
-    """Wrap a phase difference into (-pi, pi]."""
-    return math.remainder(delta, 2.0 * math.pi)
+def _wrap(delta):
+    """Wrap phase differences into [-pi, pi], exactly (as math.remainder)."""
+    r = np.fmod(delta, 2.0 * math.pi)
+    return np.where(r > math.pi, r - 2.0 * math.pi, np.where(r < -math.pi, r + 2.0 * math.pi, r))
 
 
 def _unwrap(raw: np.ndarray) -> np.ndarray:
-    out = np.empty_like(raw)
-    if len(raw):
-        out[0] = raw[0]
-        for i in range(1, len(raw)):
-            out[i] = out[i - 1] + _wrap(raw[i] - raw[i - 1])
-    return out
+    return np.cumsum(np.concatenate((raw[:1], _wrap(np.diff(raw)))))
 
 
-class _Scan:
-    """Mutable sample store for one adaptive scan."""
+class _Samples:
+    """Sorted sample store of one scan: energies, log-responses, raw phases."""
 
     def __init__(self, spec: TrapSpec):
         self.spec = spec
-        self.energies: list[float] = []
-        self.results: dict[float, MatchResult] = {}
+        self.energies = self.log_r = self.raw = np.empty(0)
 
-    def sample(self, energy: float) -> MatchResult:
-        found = self.results.get(energy)
-        if found is None:
-            found = match_amplitude(self.spec, energy)
-            self.results[energy] = found
-            insort(self.energies, energy)
-        return found
+    def add(self, energies: np.ndarray) -> np.ndarray:
+        """Match new energies in one call, merge them in; their raw phases."""
+        m = match_amplitude(self.spec, energies)
+        merged = np.concatenate((self.energies, energies))
+        order = np.argsort(merged, kind="stable")
+        self.energies = merged[order]
+        self.log_r = np.concatenate((self.log_r, m.log_response))[order]
+        self.raw = np.concatenate((self.raw, m.phase))[order]
+        return m.phase
 
     def arrays(self):
-        e = np.array(self.energies)
-        log_r = np.array([self.results[x].log_response for x in self.energies])
-        raw = np.array([self.results[x].phase for x in self.energies])
-        return e, log_r, _unwrap(raw)
+        return self.energies, self.log_r, _unwrap(self.raw)
 
 
-def _refine(scan: _Scan, e_lo: float, e_hi: float, floor: float, markers: list):
-    """Bisect [e_lo, e_hi] until phase steps drop below PHASE_JUMP.
+def _bisect(samples: _Samples, lo, hi, p_lo, p_hi) -> list:
+    """Bisect the intervals [lo, hi] until phase steps drop below PHASE_JUMP.
 
-    Intervals reaching the floor with a surviving jump are recorded in
-    markers as (e_lo, e_hi, wrapped_step).
+    Level-synchronous: every interval of a level whose endpoint phases
+    p_lo, p_hi still step by more than PHASE_JUMP is split in one
+    matching call.  Whether an interval is split depends only on its
+    endpoint phases, so the sampled energies are those of bisecting each
+    interval depth-first.  Intervals that reach the floor (or machine
+    spacing) with a surviving jump are returned as markers
+    (lo, hi, wrapped_step).
     """
 
-    stack = [(e_lo, e_hi)]
-    while stack:
-        lo, hi = stack.pop()
-        step = _wrap(scan.sample(hi).phase - scan.sample(lo).phase)
-        if abs(step) <= PHASE_JUMP:
-            continue
-        if hi - lo <= floor:
-            if abs(step) > PHASE_JUMP:
-                markers.append((lo, hi, step))
-            continue
+    markers = []
+    while True:
+        step = _wrap(p_hi - p_lo)
+        jump = np.abs(step) > PHASE_JUMP
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # spacing hit machine epsilon
-            markers.append((lo, hi, step))
-            continue
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        floored = (hi - lo <= RESOLUTION_FLOOR) | (mid <= lo) | (mid >= hi)
+        stop = jump & floored
+        markers.extend(zip(lo[stop], hi[stop], step[stop]))
+        split = jump & ~floored
+        if not split.any():
+            return markers
+        lo, mid, hi, p_lo, p_hi = lo[split], mid[split], hi[split], p_lo[split], p_hi[split]
+        p_mid = samples.add(mid)
+        # halves in energy order: (lo, mid), (mid, hi) per split interval
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        p_lo = np.column_stack((p_lo, p_mid)).ravel()
+        p_hi = np.column_stack((p_mid, p_hi)).ravel()
 
 
 def _merge_markers(markers: list, floor: float) -> list[Peak]:
@@ -420,29 +423,28 @@ def scan_spectrum(
     if base_points < 2:
         raise DomainError("base_points must be at least 2")
 
-    scan = _Scan(spec)
+    samples = _Samples(spec)
     base = np.linspace(e_min, e_max, base_points)
-    for x in base:
-        scan.sample(float(x))
-
-    markers: list = []
-    for lo, hi in zip(base[:-1], base[1:]):
-        _refine(scan, float(lo), float(hi), RESOLUTION_FLOOR, markers)
+    raw = samples.add(base)
+    markers = _bisect(samples, base[:-1], base[1:], raw[:-1], raw[1:])
 
     narrow = _merge_markers(markers, RESOLUTION_FLOOR)
     blocked = [p.center for p in narrow]
 
     # First detection pass on the refined grid, then a dense local grid
-    # around each candidate so the fit window is well sampled.
-    e, log_r, phases = scan.arrays()
+    # around each candidate so the fit window is well sampled; all grids
+    # are matched in one call.
+    e, log_r, phases = samples.arrays()
+    grids = []
     for center, width, _, _, _, _ in _detect_resolved(e, log_r, phases, blocked):
         width = max(width, 8.0 * RESOLUTION_FLOOR)
         lo = max(center - PEAK_GRID_SPAN * width, e_min)
         hi = min(center + PEAK_GRID_SPAN * width, e_max)
-        for x in np.linspace(lo, hi, PEAK_GRID_POINTS):
-            scan.sample(float(x))
+        grids.append(np.linspace(lo, hi, PEAK_GRID_POINTS))
+    if grids:
+        samples.add(np.setdiff1d(np.concatenate(grids), samples.energies))
 
-    e, log_r, phases = scan.arrays()
+    e, log_r, phases = samples.arrays()
     resolved = [
         Peak(
             center=c,

@@ -2,8 +2,10 @@
 
 Thin, domain-checked wrappers around scipy.special for the Airy pair,
 Kummer's M and log-gamma, plus a Hermite function of arbitrary real degree
-built from them.  The Hermite function is the decaying-at-+infinity
-solution of Hermite's equation
+built from them.  The scaled Airy pair and the Hermite functions take a
+float or an array; an array is evaluated element by element in one call,
+with the same arithmetic as a float.  The Hermite function is the
+decaying-at-+infinity solution of Hermite's equation
 
     H'' - 2 x H' + 2 degree H = 0,
 
@@ -30,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special as _sp
 
+from ._arrays import all_of, as_floats, first_failing, where
 from .errors import DomainError
 
 AIRY_ARG_MAX = 200.0
@@ -39,6 +42,8 @@ HERMITE_DEGREE_MAX = 30.0
 HERMITE_ARG_MAX = 15.0
 
 SQRT_PI = math.sqrt(math.pi)
+# Second Kummer parameter of the four M values of the two M-route rungs.
+_M_B = np.array([0.5, 1.5, 0.5, 1.5])
 
 
 class AiryPair(NamedTuple):
@@ -77,24 +82,31 @@ def airy(s: float) -> AiryPair:
     return AiryPair(float(ai), float(aip), float(bi), float(bip))
 
 
-def airy_scaled(s: float) -> ScaledAiryPair:
+def airy_scaled(s):
     """Exp-scaled Airy pair, usable at arbitrarily large positive s.
 
-    The scaled backend only applies for s > 0; at s <= 0 both Airy
-    functions are order one, so the plain pair is returned with chi = 0
-    (scipy's scaled variant yields NaN for Ai there).
+    s may be a float or an array; for an array every field of the pair
+    is an array of its shape, each element taking the branch its sign
+    selects.  The scaled backend only applies for s > 0; at s <= 0 both
+    Airy functions are order one, so the plain pair is returned with
+    chi = 0 (scipy's scaled variant yields NaN for Ai there).
     """
-    if not math.isfinite(s):
-        raise DomainError(f"airy argument must be finite, got {s}")
-    if s > 0.0:
-        ai_e, aip_e, bi_e, bip_e = _sp.airye(s)
-        chi = (2.0 / 3.0) * s * math.sqrt(s)
-    else:
-        if s < -AIRY_ARG_MAX:
-            raise DomainError(f"airy argument below -{AIRY_ARG_MAX:g}, got {s}")
-        ai_e, aip_e, bi_e, bip_e = _sp.airy(s)
-        chi = 0.0
-    return ScaledAiryPair(float(ai_e), float(aip_e), float(bi_e), float(bip_e), chi)
+    s = as_floats(s)
+    inside = (s >= -AIRY_ARG_MAX) & (s < math.inf)
+    if not all_of(inside):
+        raise DomainError(
+            f"airy argument finite and >= -{AIRY_ARG_MAX:g}, got {first_failing(s, inside)}"
+        )
+    if isinstance(s, float):  # one scipy call, without the masking below
+        if s > 0.0:
+            return ScaledAiryPair(*_sp.airye(s), (2.0 / 3.0) * s * math.sqrt(s))
+        return ScaledAiryPair(*_sp.airy(s), 0.0)
+    scaled = s > 0.0
+    pair = np.empty((4,) + s.shape)
+    pair[:, scaled] = _sp.airye(s[scaled])
+    pair[:, ~scaled] = _sp.airy(s[~scaled])
+    chi = np.where(scaled, (2.0 / 3.0) * s * np.sqrt(np.abs(s)), 0.0)
+    return ScaledAiryPair(*pair, chi)
 
 
 def kummer_m(a: float, b: float, x: float) -> float:
@@ -121,73 +133,107 @@ def log_gamma(x: float) -> tuple[float, float]:
     return float(_sp.gammaln(x)), float(_sp.gammasgn(x))
 
 
-def _hermite_m_route(degree: float, x: float) -> float:
-    # stable for x <= 0 (and small positive x); rgamma is entire, so
-    # integer degrees pass straight through
+def _m_rungs(degree, x, down):
+    # x <= 0 (and small positive x): H_degree and its neighbour H_degree-1
+    # (down) or H_degree+1, from Kummer's M.  With t = -degree/2 the two
+    # rungs need 1/Gamma at t, t + 1/2 and t + 1 (down) or t - 1/2, so
+    # one factor is shared; the four M values come from one hyp1f1 call.
+    # rgamma is entire: integer degrees pass straight through.
+    t = -0.5 * degree
+    tn = where(down, t + 0.5, t - 0.5)
+    b = _M_B if isinstance(t, float) else _M_B.reshape((4,) + (1,) * t.ndim)
+    m = _sp.hyp1f1(np.array([t, t + 0.5, tn, tn + 0.5]), b, x * x)
+    g_t = _sp.rgamma(t)
+    g_half = _sp.rgamma(t + 0.5)
+    g_new = _sp.rgamma(where(down, tn + 0.5, tn))
+    g_lo, g_hi = where(down, g_half, g_new), where(down, g_new, g_t)
+    scale = np.exp2(degree) * SQRT_PI
+    h = scale * (m[0] * g_half - 2.0 * x * m[1] * g_t)
+    hn = where(down, 0.5 * scale, 2.0 * scale) * (m[2] * g_hi - 2.0 * x * m[3] * g_lo)
+    return h, hn
+
+
+def _u_route(degree, x):
+    # x > 0: H = 2^degree U(-degree/2, 1/2, x^2), direct at low degree;
+    # above degree 1, a fractional-degree base pair climbed by the
+    # three-term recurrence keeps hyperu inside its reliable small-|a| range
     x2 = x * x
-    t1 = _sp.hyp1f1(-0.5 * degree, 0.5, x2) * _sp.rgamma(0.5 * (1.0 - degree))
-    t2 = 2.0 * x * _sp.hyp1f1(0.5 * (1.0 - degree), 1.5, x2) * _sp.rgamma(-0.5 * degree)
-    return float(2.0**degree * SQRT_PI * (t1 - t2))
-
-
-def _hermite_u_route(degree: float, x: float) -> float:
-    # x > 0; direct Tricomi U at low degree, recurrence climb above to
-    # keep scipy's hyperu inside its reliable small-|a| range
-    if degree <= 1.0:
-        return float(2.0**degree * _sp.hyperu(-0.5 * degree, 0.5, x * x))
-    base = degree - math.floor(degree)
-    h0 = float(2.0**base * _sp.hyperu(-0.5 * base, 0.5, x * x))
-    h1 = float(2.0 ** (base + 1.0) * _sp.hyperu(-0.5 * (base + 1.0), 0.5, x * x))
+    climb = degree > 1.0
+    base = where(climb, degree - np.floor(degree), degree)
+    h1 = np.exp2(base) * _sp.hyperu(-0.5 * base, 0.5, x2)
+    if not np.any(climb):
+        return h1
+    h0, h1 = h1, where(climb, np.exp2(base + 1.0) * _sp.hyperu(-0.5 * (base + 1.0), 0.5, x2), h1)
     n = base + 1.0
-    while n < degree - 0.5:
-        h0, h1 = h1, 2.0 * x * h1 - 2.0 * n * h0
-        n += 1.0
+    for _ in range(int(np.max(np.floor(degree))) - 1):
+        step = n < degree - 0.5
+        h0, h1 = where(step, h1, h0), where(step, 2.0 * x * h1 - 2.0 * n * h0, h1)
+        n = n + 1.0
     return h1
 
 
-def hermite(degree: float, x: float) -> float:
+def _u_rungs(degree, x, down):
+    return _u_route(degree, x), _u_route(where(down, degree - 1.0, degree + 1.0), x)
+
+
+def _pair(degree, x):
+    """H_degree(x) and d/dx H_degree(x) on checked arguments.
+
+    The derivative is 2 degree H_{degree-1}; below degree 0, where
+    degree - 1 would leave the domain, it is 2x H_degree - H_{degree+1}.
+    The two forms are identical by the recurrence
+    H_{n+1} = 2x H_n - 2n H_{n-1}.  Each element takes the M route at
+    x <= 0 and the U route at x > 0.
+    """
+    if isinstance(degree, np.ndarray) or isinstance(x, np.ndarray):
+        degree, x = np.broadcast_arrays(degree, x)
+    down = degree >= HERMITE_DEGREE_MIN + 1.0
+    neg = x <= 0.0
+    if all_of(neg):
+        h, hn = _m_rungs(degree, x, down)
+    elif not np.any(neg):
+        h, hn = _u_rungs(degree, x, down)
+    else:
+        h, hn = np.empty(x.shape), np.empty(x.shape)
+        for mask, rungs in ((neg, _m_rungs), (~neg, _u_rungs)):
+            h[mask], hn[mask] = rungs(degree[mask], x[mask], down[mask])
+    return h, where(down, 2.0 * degree * hn, 2.0 * x * h - hn)
+
+
+def _hermite_args(degree, x):
+    degree, x = as_floats(degree), as_floats(x)
+    ok = (HERMITE_DEGREE_MIN <= degree) & (degree <= HERMITE_DEGREE_MAX)
+    ok = ok & (abs(x) <= HERMITE_ARG_MAX)
+    if not all_of(ok):
+        raise DomainError(
+            f"hermite needs degree in [{HERMITE_DEGREE_MIN}, {HERMITE_DEGREE_MAX}] "
+            f"and |x| <= {HERMITE_ARG_MAX}, got ({first_failing(degree, ok)}, {first_failing(x, ok)})"
+        )
+    return degree, x
+
+
+def hermite_pair(degree, x):
+    """(H_degree(x), d/dx H_degree(x)) in one evaluation.
+
+    degree in [-1, 30] and |x| <= 15; either may be an array (they
+    broadcast), and the results are then arrays.  Relative accuracy
+    ~1e-12 away from zeros of H.  See _pair for the derivative form.
+    """
+    return _pair(*_hermite_args(degree, x))
+
+
+def hermite(degree, x):
     """Hermite function H_degree(x), degree in [-1, 30], |x| <= 15.
 
-    Relative accuracy ~1e-12 away from zeros of H.
+    Arrays broadcast as in hermite_pair.  Relative accuracy ~1e-12 away
+    from zeros of H.
     """
-    if not (math.isfinite(degree) and math.isfinite(x)):
-        raise DomainError(f"hermite arguments must be finite, got ({degree}, {x})")
-    if not HERMITE_DEGREE_MIN <= degree <= HERMITE_DEGREE_MAX:
-        raise DomainError(
-            f"hermite degree in [{HERMITE_DEGREE_MIN}, {HERMITE_DEGREE_MAX}], got {degree}"
-        )
-    if abs(x) > HERMITE_ARG_MAX:
-        raise DomainError(f"hermite |x| <= {HERMITE_ARG_MAX}, got {x}")
-    if x <= 0.0:
-        return _hermite_m_route(degree, x)
-    return _hermite_u_route(degree, x)
+    return _pair(*_hermite_args(degree, x))[0]
 
 
-def _hermite_any(degree: float, x: float) -> float:
-    # internal: no degree-domain check, for the derivative's degree+1 call
-    if x <= 0.0:
-        return _hermite_m_route(degree, x)
-    return _hermite_u_route(degree, x)
-
-
-def hermite_deriv(degree: float, x: float) -> float:
-    """d/dx H_degree(x) = 2 degree H_{degree-1}(x).
-
-    Evaluated via 2x H_degree - H_{degree+1} when degree - 1 would fall
-    below the documented domain; the two forms are identical by the
-    recurrence H_{n+1} = 2x H_n - 2n H_{n-1}.
-    """
-    if not (math.isfinite(degree) and math.isfinite(x)):
-        raise DomainError(f"hermite arguments must be finite, got ({degree}, {x})")
-    if not HERMITE_DEGREE_MIN <= degree <= HERMITE_DEGREE_MAX:
-        raise DomainError(
-            f"hermite degree in [{HERMITE_DEGREE_MIN}, {HERMITE_DEGREE_MAX}], got {degree}"
-        )
-    if abs(x) > HERMITE_ARG_MAX:
-        raise DomainError(f"hermite |x| <= {HERMITE_ARG_MAX}, got {x}")
-    if degree >= HERMITE_DEGREE_MIN + 1.0:
-        return 2.0 * degree * _hermite_any(degree - 1.0, x)
-    return 2.0 * x * _hermite_any(degree, x) - _hermite_any(degree + 1.0, x)
+def hermite_deriv(degree, x):
+    """d/dx H_degree(x) = 2 degree H_{degree-1}(x); arrays as in hermite_pair."""
+    return _pair(*_hermite_args(degree, x))[1]
 
 
 def airy_wronskian_residual(s) -> np.ndarray:

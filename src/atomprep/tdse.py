@@ -133,8 +133,7 @@ def truncated_resonance_state(
         )
     values = np.zeros(len(grid), dtype=complex)
     inside = (grid >= -half - 1e-9) & (grid <= half + 1e-9)
-    for i in np.nonzero(inside)[0]:
-        values[i] = interior_wave(spec, energy, float(grid[i]))[0]
+    values[inside] = interior_wave(spec, energy, grid[inside])[0]
     weights = _interval_weights(grid, -half, half)
     mass = float(np.sum(weights * np.abs(values) ** 2))
     if mass <= 0.0:

@@ -324,6 +324,25 @@ class TestConfigKeys:
         assert "bogus_key" in capsys.readouterr().err
         assert not (tmp_path / "dfg.json").exists()
 
+    def test_switch_takes_only_a_json_boolean(self, capsys, tmp_path, monkeypatch):
+        # the string "false" must not run the sudden quench
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"sudden": "false"}))
+        assert cli.run(["split-fidelity", "--config", "cfg.json",
+                        "--out", "sf.json"]) == 2
+        assert "sudden" in capsys.readouterr().err
+        assert not (tmp_path / "sf.json").exists()
+
+    def test_number_rejects_a_json_boolean(self, capsys, tmp_path, monkeypatch):
+        # true must not be read as 1 grid point
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"nz": True}))
+        assert cli.run(["fidelity-map", "--zmin", "3", "--zmax", "3.5",
+                        "--fmin", "0.3", "--fmax", "0.5", "--nf", "2",
+                        "--config", "cfg.json"]) == 2
+        assert "nz" in capsys.readouterr().err
+        assert not (tmp_path / "fidelity_map.csv").exists()
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):

@@ -13,9 +13,15 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from atomprep.culling import scan_window
 from atomprep.errors import DomainError
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.scattering import (
+    PHASE_JUMP,
+    RESOLUTION_FLOOR,
+    _bisect,
+    _Samples,
+    _unwrap,
     energy_cap,
     exterior_wave,
     interior_wave,
@@ -49,6 +55,17 @@ class TestInteriorWave:
         got = interior_wave(FIG, 0.366)
         explicit = interior_wave(FIG, 0.366, FIG.edge)
         assert got == explicit
+
+    def test_array_of_positions_equals_per_point_calls(self):
+        # the truncated state samples the interior wave on a whole grid in
+        # one call: both Hermite routes (u <= 0 and u > 0) in one array
+        for e in (0.366, 1.29):
+            xs = np.linspace(-0.5 * FIG.size, 0.5 * FIG.size, 301)
+            val, der = interior_wave(FIG, e, xs)
+            for i, x in enumerate(xs):
+                v1, d1 = interior_wave(FIG, e, float(x))
+                assert abs(val[i] - v1) <= 1e-14 * abs(v1)
+                assert abs(der[i] - d1) <= 1e-14 * abs(d1)
 
     def test_shooting_oracle(self):
         # integrate psi'' = (x^2 + 2 f x - 2E) psi from deep under the
@@ -104,6 +121,22 @@ class TestMatchAmplitude:
             tail = match_amplitude(FIG, e0 + sgn * 10.0 * gamma).response
             assert tail <= 0.02 * p0
 
+    def test_scalar_call_equals_array_call_bit_for_bit(self):
+        # one kernel: a float energy runs the same arithmetic as an array
+        # element, on both sides of the barrier top (both Airy branches)
+        top = trap_geometry(FIG).edge_height
+        energies = np.linspace(top - 0.6, top + 0.6, 50)
+        batch = match_amplitude(FIG, energies)
+        for i, e in enumerate(energies):
+            one = match_amplitude(FIG, float(e))
+            for name in ("ai_coeff", "bi_coeff", "interior_amplitude", "phase",
+                         "log_response"):
+                assert getattr(one, name) == getattr(batch, name)[i], (name, e)
+
+    def test_array_error_names_first_bad_energy(self):
+        with pytest.raises(DomainError, match="energy -0.1 outside"):
+            match_amplitude(FIG, np.array([0.5, -0.1, -0.2]))
+
     def test_exterior_wave_rejects_interior_points(self):
         m = match_amplitude(FIG, 0.7)
         with pytest.raises(DomainError):
@@ -158,6 +191,38 @@ class TestScanSpectrum:
         assert energy_cap(FIG) == pytest.approx(2.42, rel=1e-12)
         with pytest.raises(DomainError):
             scan_spectrum(FIG, 0.05, 5.0)
+
+    def test_level_synchronous_bisection_samples_depth_first_energies(self):
+        # reference: bisect each base interval depth-first, one energy at
+        # a time, as a stack; the same energies must be sampled
+        base = np.linspace(0.05, 1.5, 160)
+        phase = {float(e): match_amplitude(FIG, float(e)).phase for e in base}
+        stack = [(float(lo), float(hi)) for lo, hi in zip(base[:-1], base[1:])]
+        while stack:
+            lo, hi = stack.pop()
+            step = math.remainder(phase[hi] - phase[lo], 2.0 * math.pi)
+            mid = 0.5 * (lo + hi)
+            if abs(step) <= PHASE_JUMP or hi - lo <= RESOLUTION_FLOOR or not lo < mid < hi:
+                continue
+            phase[mid] = match_amplitude(FIG, mid).phase
+            stack += [(lo, mid), (mid, hi)]
+        samples = _Samples(FIG)
+        raw = samples.add(base)
+        _bisect(samples, base[:-1], base[1:], raw[:-1], raw[1:])
+        assert np.array_equal(samples.energies, sorted(phase))
+        assert np.array_equal(samples.raw, [phase[e] for e in sorted(phase)])
+
+    def test_vector_unwrap_equals_sequential_unwrap(self):
+        raw = np.random.default_rng(3).uniform(-math.pi, math.pi, 500)
+        ref = [raw[0]]
+        for prev, here in zip(raw[:-1], raw[1:]):
+            ref.append(ref[-1] + math.remainder(here - prev, 2.0 * math.pi))
+        assert np.array_equal(_unwrap(raw), ref)
+
+    def test_culling_window_sample_count(self):
+        # level-synchronous bisection samples the energies of a
+        # depth-first bisection: 360 on the culling window of FIG
+        assert len(scan_spectrum(FIG, *scan_window(FIG))) == 360
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(DomainError):

@@ -118,6 +118,15 @@ class TestAiryScaled:
     def test_negative_domain_still_bounded(self):
         with pytest.raises(DomainError):
             sf.airy_scaled(-200.5)
+        with pytest.raises(DomainError):
+            sf.airy_scaled(np.array([1.0, -200.5]))
+
+    def test_array_equals_scalar_calls(self):
+        # each element takes the branch of its own sign
+        s = np.array([-7.5, -0.3, 0.0, 0.02, 3.1, 60.0, 400.0])
+        pair = sf.airy_scaled(s)
+        for i, x in enumerate(s):
+            assert tuple(f[i] for f in pair) == tuple(sf.airy_scaled(float(x)))
 
 
 class TestKummer:
@@ -268,6 +277,32 @@ class TestHermite:
             sf.hermite(2.0, 15.5)
         with pytest.raises(DomainError):
             sf.hermite(math.nan, 0.0)
+
+
+class TestHermiteArrays:
+    def test_array_calls_equal_scalar_calls(self):
+        # degrees on both sides of 0 (the two derivative forms), x on both
+        # routes and a degree that climbs the U-route recurrence
+        degree = np.array([-0.6, -0.01, 0.0, 0.325, 2.0, 7.4, 7.4])
+        x = np.array([-2.1, -1.7, 0.4, -0.2, 1.3, 3.0, -3.0])
+        h, dh = sf.hermite_pair(degree, x)
+        assert np.array_equal(h, sf.hermite(degree, x))
+        assert np.array_equal(dh, sf.hermite_deriv(degree, x))
+        for i in range(len(x)):
+            assert h[i] == sf.hermite(float(degree[i]), float(x[i]))
+            assert dh[i] == sf.hermite_deriv(float(degree[i]), float(x[i]))
+
+    def test_scalar_degree_broadcasts_over_x(self):
+        x = np.linspace(-4.0, 4.0, 41)
+        h = sf.hermite(3.5, x)
+        assert h.shape == x.shape
+        assert all(h[i] == sf.hermite(3.5, float(v)) for i, v in enumerate(x))
+
+    def test_array_domain_checked(self):
+        with pytest.raises(DomainError):
+            sf.hermite(np.array([0.5, 31.0]), 0.0)
+        with pytest.raises(DomainError):
+            sf.hermite_pair(1.0, np.array([0.0, math.nan]))
 
 
 class TestHermiteDeriv:
