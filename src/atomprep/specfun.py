@@ -2,7 +2,7 @@
 
 Thin, domain-checked wrappers around scipy.special for the Airy pair,
 Kummer's M and log-gamma, plus a Hermite function of arbitrary real degree
-built from them.  The scaled Airy pair and the Hermite functions take a
+built from them.  The scaled Airy pair and the Hermite pair take a
 float or an array; an array is evaluated element by element in one call,
 with the same arithmetic as a float.  The Hermite function is the
 decaying-at-+infinity solution of Hermite's equation
@@ -220,20 +220,6 @@ def hermite_pair(degree, x):
     ~1e-12 away from zeros of H.  See _pair for the derivative form.
     """
     return _pair(*_hermite_args(degree, x))
-
-
-def hermite(degree, x):
-    """Hermite function H_degree(x), degree in [-1, 30], |x| <= 15.
-
-    Arrays broadcast as in hermite_pair.  Relative accuracy ~1e-12 away
-    from zeros of H.
-    """
-    return _pair(*_hermite_args(degree, x))[0]
-
-
-def hermite_deriv(degree, x):
-    """d/dx H_degree(x) = 2 degree H_{degree-1}(x); arrays as in hermite_pair."""
-    return _pair(*_hermite_args(degree, x))[1]
 
 
 def airy_wronskian_residual(s) -> np.ndarray:

@@ -4,8 +4,9 @@ The well pair shares one trapping frequency; the cusp between the two
 parabolic halves rises as separation^2/8, so pulling the wells apart
 turns one oscillator spectrum into near-degenerate left/right doublets.
 A linear tilt breaks the degeneracy and decides which well the atom
-follows.  Everything here is stationary: a three-point finite-difference
-eigensolver on a hard-walled grid, a (separation, tilt) gap survey, a
+follows.  Everything here is stationary: the lowest levels of the
+shared three-point grid Hamiltonian (`_grid`) on a hard-walled grid,
+a (separation, tilt) gap survey, a
 widest-gap path search across that survey, and a ramp generator that
 spends time where the gap is smallest (local adiabaticity, speed
 proportional to gap^2).
@@ -21,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
+from . import _grid
 from .errors import ConfigurationError, DomainError, PathNotFoundError
 from .potential import eval_double_well
 
@@ -57,17 +58,17 @@ class GridSpec:
         return -self.half_width + self.spacing * np.arange(1, count)
 
 
-def default_grid(separation: float, tilt: float) -> GridSpec:
+def default_grid(separation: float, tilt: float, spacing: float = DEFAULT_SPACING) -> GridSpec:
     """Grid covering both (tilt-shifted) minima with the standard margin."""
-    return GridSpec(half_width=0.5 * separation + abs(tilt) + GRID_MARGIN)
+    return GridSpec(half_width=0.5 * separation + abs(tilt) + GRID_MARGIN, spacing=spacing)
 
 
 @dataclass(frozen=True)
 class WellLevels:
     """Lowest eigenpairs of one double-well configuration.
 
-    wavefunctions has one state per row, normalized under the
-    grid-trapezoid inner product.
+    wavefunctions has one state per row, normalized under the grid
+    inner product.
     """
 
     separation: float
@@ -84,7 +85,8 @@ class WellLevels:
     def ground_centroid(self) -> float:
         """Position expectation <x> of the ground state."""
         density = np.abs(self.wavefunctions[0]) ** 2
-        return float(np.trapezoid(self.grid * density, self.grid))
+        h = float(self.grid[1] - self.grid[0])
+        return float(_grid.integral(self.grid, h, self.grid * density))
 
 
 def solve_double_well(
@@ -105,7 +107,7 @@ def solve_double_well(
     if n_states < 1:
         raise DomainError("n_states must be at least 1")
     spec = grid_spec if grid_spec is not None else default_grid(separation, tilt)
-    need = 0.5 * separation + abs(tilt) + GRID_MARGIN
+    need = default_grid(separation, tilt).half_width
     if spec.half_width < need - 1e-12:
         raise ConfigurationError(
             f"half_width {spec.half_width:g} leaves less than {GRID_MARGIN:g} "
@@ -115,18 +117,9 @@ def solve_double_well(
     x = spec.points()
     if n_states > len(x):
         raise ConfigurationError("more states requested than grid points")
-    h = spec.spacing
-    diag = 1.0 / (h * h) + eval_double_well(separation, tilt, x)
-    off = np.full(len(x) - 1, -0.5 / (h * h))
-    energies, vecs = eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, n_states - 1)
+    energies, waves = _grid.lowest_levels(
+        x, spec.spacing, eval_double_well(separation, tilt, x), n_states
     )
-    # LAPACK returns unit l2 columns; rescale to the grid inner product.
-    waves = (vecs / math.sqrt(h)).T.copy()
-    # Fix the sign convention: positive integral weight.
-    for row in waves:
-        if np.trapezoid(row, x) < 0.0:
-            row *= -1.0
     return WellLevels(
         separation=separation,
         tilt=tilt,
@@ -198,10 +191,7 @@ def gap_map(
         row_notes = []
         for j, f in enumerate(tilts):
             try:
-                spec = GridSpec(
-                    half_width=0.5 * float(d) + abs(float(f)) + GRID_MARGIN,
-                    spacing=spacing,
-                )
+                spec = default_grid(float(d), float(f), spacing)
                 levels = solve_double_well(float(d), float(f), 2, spec)
             except Exception as exc:  # recorded in-map, sweep continues
                 row_notes.append(f"{type(exc).__name__}: {exc}")

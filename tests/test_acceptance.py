@@ -240,9 +240,9 @@ def test_09_special_function_ladder(capsys):
     integer_dev = 0.0
     for n in range(1, 10):
         for x in xs:
-            h_prev = sf.hermite(float(n - 1), float(x))
-            h_here = sf.hermite(float(n), float(x))
-            h_next = sf.hermite(float(n + 1), float(x))
+            h_prev = sf.hermite_pair(float(n - 1), float(x))[0]
+            h_here = sf.hermite_pair(float(n), float(x))[0]
+            h_next = sf.hermite_pair(float(n + 1), float(x))[0]
             resid = h_next - 2.0 * x * h_here + 2.0 * n * h_prev
             scale = max(abs(h_next), abs(2.0 * x * h_here),
                         abs(2.0 * n * h_prev), 1.0)
@@ -250,9 +250,9 @@ def test_09_special_function_ladder(capsys):
     real_dev = 0.0
     for nu in (0.3, 1.7, 3.5):
         for x in np.linspace(-5.0, 5.0, 21):
-            h_prev = sf.hermite(nu - 1.0, float(x))
-            h_here = sf.hermite(nu, float(x))
-            h_next = sf.hermite(nu + 1.0, float(x))
+            h_prev = sf.hermite_pair(nu - 1.0, float(x))[0]
+            h_here = sf.hermite_pair(nu, float(x))[0]
+            h_next = sf.hermite_pair(nu + 1.0, float(x))[0]
             resid = h_next - 2.0 * x * h_here + 2.0 * nu * h_prev
             scale = max(abs(h_next), abs(2.0 * x * h_here),
                         abs(2.0 * nu * h_prev), 1.0)

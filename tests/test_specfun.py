@@ -21,6 +21,14 @@ def _rel(got: float, want: float) -> float:
     return abs(got - want) / abs(want)
 
 
+def _h(degree, x):
+    return sf.hermite_pair(degree, x)[0]
+
+
+def _dh(degree, x):
+    return sf.hermite_pair(degree, x)[1]
+
+
 class TestAiry:
     def test_closed_forms_at_zero(self):
         pair = sf.airy(0.0)
@@ -207,11 +215,11 @@ class TestHermite:
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])
     def test_degree_two_polynomial(self, x):
         want = 4.0 * x * x - 2.0
-        assert abs(sf.hermite(2.0, x) - want) < 1e-12 * max(1.0, abs(want))
+        assert abs(_h(2.0, x) - want) < 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("x", [-9.0, -1.3, 0.0, 0.4, 7.7])
     def test_degree_zero_is_one(self, x):
-        assert sf.hermite(0.0, x) == pytest.approx(1.0, rel=1e-12)
+        assert _h(0.0, x) == pytest.approx(1.0, rel=1e-12)
 
     def test_real_degree_against_defining_combination(self):
         # independent evaluation of the M/Gamma combination at 40 digits
@@ -229,7 +237,7 @@ class TestHermite:
                     / mpmath.gamma(-nu / 2)
                 )
             )
-        assert _rel(sf.hermite(nu, x), float(combo)) < 1e-9
+        assert _rel(_h(nu, x), float(combo)) < 1e-9
 
     @pytest.mark.parametrize(
         "nu,x",
@@ -237,16 +245,16 @@ class TestHermite:
     )
     def test_against_mpmath_hermite(self, nu, x):
         want = float(mpmath.hermite(nu, x))
-        assert _rel(sf.hermite(nu, x), want) < 1e-9
+        assert _rel(_h(nu, x), want) < 1e-9
 
     def test_integer_recurrence(self):
         # H_{n+1} = 2x H_n - 2n H_{n-1}, degrees 0..10 across the x range
         xs = np.linspace(-10.0, 10.0, 41)
         for n in range(1, 10):
             for x in xs:
-                h_prev = sf.hermite(float(n - 1), float(x))
-                h_here = sf.hermite(float(n), float(x))
-                h_next = sf.hermite(float(n + 1), float(x))
+                h_prev = _h(float(n - 1), float(x))
+                h_here = _h(float(n), float(x))
+                h_next = _h(float(n + 1), float(x))
                 want = 2.0 * x * h_here - 2.0 * n * h_prev
                 scale = max(abs(h_next), abs(2.0 * x * h_here), abs(2.0 * n * h_prev), 1.0)
                 assert abs(h_next - want) / scale < 1e-10
@@ -254,9 +262,9 @@ class TestHermite:
     @pytest.mark.parametrize("nu", [0.3, 1.7, 3.5])
     def test_real_degree_recurrence(self, nu):
         for x in np.linspace(-5.0, 5.0, 21):
-            h_prev = sf.hermite(nu - 1.0, float(x))
-            h_here = sf.hermite(nu, float(x))
-            h_next = sf.hermite(nu + 1.0, float(x))
+            h_prev = _h(nu - 1.0, float(x))
+            h_here = _h(nu, float(x))
+            h_next = _h(nu + 1.0, float(x))
             resid = h_next - 2.0 * x * h_here + 2.0 * nu * h_prev
             scale = max(abs(h_next), abs(2.0 * x * h_here), abs(2.0 * nu * h_prev), 1.0)
             assert abs(resid) / scale <= 1e-8
@@ -265,18 +273,18 @@ class TestHermite:
     def test_gaussian_weighted_tail_decays(self, nu):
         start = math.sqrt(2.0 * nu + 1.0) + 2.0
         xs = np.arange(start, 15.0, 0.25)
-        vals = [abs(math.exp(-0.5 * x * x) * sf.hermite(nu, float(x))) for x in xs]
+        vals = [abs(math.exp(-0.5 * x * x) * _h(nu, float(x))) for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sf.hermite(-1.2, 0.0)
+            sf.hermite_pair(-1.2, 0.0)
         with pytest.raises(DomainError):
-            sf.hermite(30.5, 0.0)
+            sf.hermite_pair(30.5, 0.0)
         with pytest.raises(DomainError):
-            sf.hermite(2.0, 15.5)
+            sf.hermite_pair(2.0, 15.5)
         with pytest.raises(DomainError):
-            sf.hermite(math.nan, 0.0)
+            sf.hermite_pair(math.nan, 0.0)
 
 
 class TestHermiteArrays:
@@ -286,21 +294,19 @@ class TestHermiteArrays:
         degree = np.array([-0.6, -0.01, 0.0, 0.325, 2.0, 7.4, 7.4])
         x = np.array([-2.1, -1.7, 0.4, -0.2, 1.3, 3.0, -3.0])
         h, dh = sf.hermite_pair(degree, x)
-        assert np.array_equal(h, sf.hermite(degree, x))
-        assert np.array_equal(dh, sf.hermite_deriv(degree, x))
         for i in range(len(x)):
-            assert h[i] == sf.hermite(float(degree[i]), float(x[i]))
-            assert dh[i] == sf.hermite_deriv(float(degree[i]), float(x[i]))
+            assert h[i] == _h(float(degree[i]), float(x[i]))
+            assert dh[i] == _dh(float(degree[i]), float(x[i]))
 
     def test_scalar_degree_broadcasts_over_x(self):
         x = np.linspace(-4.0, 4.0, 41)
-        h = sf.hermite(3.5, x)
+        h = _h(3.5, x)
         assert h.shape == x.shape
-        assert all(h[i] == sf.hermite(3.5, float(v)) for i, v in enumerate(x))
+        assert all(h[i] == _h(3.5, float(v)) for i, v in enumerate(x))
 
     def test_array_domain_checked(self):
         with pytest.raises(DomainError):
-            sf.hermite(np.array([0.5, 31.0]), 0.0)
+            sf.hermite_pair(np.array([0.5, 31.0]), 0.0)
         with pytest.raises(DomainError):
             sf.hermite_pair(1.0, np.array([0.0, math.nan]))
 
@@ -308,30 +314,30 @@ class TestHermiteArrays:
 class TestHermiteDeriv:
     def test_polynomial_derivative(self):
         # d/dx (4x^2 - 2) = 8x
-        assert _rel(sf.hermite_deriv(2.0, 1.0), 8.0) < 1e-12
+        assert _rel(_dh(2.0, 1.0), 8.0) < 1e-12
 
     @pytest.mark.parametrize("x", [-3.0, 0.0, 1.2, 9.5])
     def test_degree_zero_derivative_vanishes(self, x):
-        assert abs(sf.hermite_deriv(0.0, x)) < 1e-12
+        assert abs(_dh(0.0, x)) < 1e-12
 
     def test_central_difference_oracle(self):
         nu, x, h = 1.7, 0.5, 1e-5
-        fd = (sf.hermite(nu, x + h) - sf.hermite(nu, x - h)) / (2.0 * h)
-        assert _rel(sf.hermite_deriv(nu, x), fd) < 1e-6
+        fd = (_h(nu, x + h) - _h(nu, x - h)) / (2.0 * h)
+        assert _rel(_dh(nu, x), fd) < 1e-6
 
     @pytest.mark.parametrize("nu,x", [(0.8, -1.1), (3.5, 2.2), (12.0, 0.7)])
     def test_downward_identity(self, nu, x):
         want = 2.0 * nu * float(mpmath.hermite(nu - 1.0, x))
-        assert _rel(sf.hermite_deriv(nu, x), want) < 1e-8
+        assert _rel(_dh(nu, x), want) < 1e-8
 
     def test_bottom_of_degree_range_uses_upward_form(self):
         # degree -1 cannot recurse downward; identity 2x H_nu - H_{nu+1}
         nu, x = -1.0, 0.9
         want = 2.0 * x * float(mpmath.hermite(nu, x)) - float(mpmath.hermite(nu + 1.0, x))
-        assert abs(sf.hermite_deriv(nu, x) - want) < 1e-8 * max(1.0, abs(want))
+        assert abs(_dh(nu, x) - want) < 1e-8 * max(1.0, abs(want))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sf.hermite_deriv(-1.2, 0.0)
+            sf.hermite_pair(-1.2, 0.0)
         with pytest.raises(DomainError):
-            sf.hermite_deriv(2.0, -15.5)
+            sf.hermite_pair(2.0, -15.5)

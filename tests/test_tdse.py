@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from atomprep.errors import ConfigurationError, DomainError
-from atomprep.potential import TrapSpec, trap_geometry
+from atomprep.potential import TrapSpec, eval_double_well, trap_geometry
 from atomprep.resonance import fit_lorentzian
 from atomprep.scattering import scan_spectrum
+from atomprep.splitting import GridSpec, default_grid, solve_double_well
 from atomprep.tdse import (
     MAX_DT,
     WavePacket,
@@ -29,6 +31,53 @@ from atomprep.tdse import (
 )
 
 FIG = TrapSpec(4.4, 0.5)
+
+
+def _reference_propagate(psi0, potential, dt, t_final, absorber=None):
+    """Final state of the original per-step Crank-Nicolson loop.
+
+    The band is rebuilt and handed to solve_banded at every step; kept
+    as the reference the shared stepper must reproduce.
+    """
+    grid, h = psi0.grid, psi0.spacing
+    n_steps = max(1, int(round(t_final / dt)))
+    step = t_final / n_steps
+    pot = potential if callable(potential) else (lambda t: potential)
+    k_off = -0.5 / (h * h)
+    k_diag = 1.0 / (h * h)
+    psi = psi0.values.astype(complex).copy()
+    band = np.zeros((3, len(grid)), dtype=complex)
+    for k in range(n_steps):
+        diag = k_diag + pot((k + 0.5) * step).astype(complex)
+        if absorber is not None:
+            diag = diag - 1j * absorber
+        a_main = 1.0 + 0.5j * step * diag
+        a_off = 0.5j * step * k_off
+        b_main = 1.0 - 0.5j * step * diag
+        rhs = b_main * psi
+        rhs[1:] -= a_off * psi[:-1]
+        rhs[:-1] -= a_off * psi[1:]
+        band[0, 1:] = a_off
+        band[1, :] = a_main
+        band[2, :-1] = a_off
+        psi = solve_banded((1, 1), band, rhs)
+    return psi
+
+
+def _reference_levels(separation, tilt, n_states, spec):
+    """Original eigensolve: explicit stencil, eigh_tridiagonal, trapezoid sign rule."""
+    x = spec.points()
+    h = spec.spacing
+    diag = 1.0 / (h * h) + eval_double_well(separation, tilt, x)
+    off = np.full(len(x) - 1, -0.5 / (h * h))
+    energies, vecs = eigh_tridiagonal(
+        diag, off, select="i", select_range=(0, n_states - 1)
+    )
+    waves = (vecs / math.sqrt(h)).T.copy()
+    for row in waves:
+        if np.trapezoid(row, x) < 0.0:
+            row *= -1.0
+    return energies, waves
 
 
 def _harmonic_ground(half_width=8.0, spacing=0.02):
@@ -124,6 +173,42 @@ class TestPropagate:
         psi0, grid = _harmonic_ground()
         with pytest.raises(ConfigurationError):
             propagate(psi0, 0.5 * grid * grid, 0.01, 0.05)
+
+
+class TestAgainstReferenceLoop:
+    def test_static_run_with_absorber(self):
+        # a packet sliding down a tilt into the absorbing ramp
+        grid = uniform_grid(-20.0, 8.0)
+        psi0 = WavePacket(grid=grid, values=np.exp(-((grid + 15.0) ** 2) - 4j * grid))
+        potential = 0.5 * grid
+        cap = downhill_absorber(grid, 0.0)
+        run = propagate(psi0, potential, 0.004, 0.8, absorber=cap, min_samples=2)
+        want = _reference_propagate(psi0, potential, 0.004, 0.8, absorber=cap)
+        assert np.array_equal(run.final_state.values, want)
+        assert run.final_state.norm < 0.5 * psi0.norm
+
+    def test_driven_double_well_run(self):
+        start = solve_double_well(0.0, 0.12, 1, default_grid(3.0, 0.12, 0.01))
+        grid = start.grid
+        psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
+
+        def potential(t):
+            return eval_double_well(3.0 * t, 0.12, grid)
+
+        run = propagate(psi0, potential, 0.005, 1.0, min_samples=2)
+        want = _reference_propagate(psi0, potential, 0.005, 1.0)
+        assert np.array_equal(run.final_state.values, want)
+
+    @pytest.mark.parametrize(
+        "separation,tilt,spec",
+        [(4.82, 0.12, None), (0.0, 0.0, GridSpec(8.0, 0.01)), (8.0, 0.0, GridSpec(12.0, 0.002))],
+    )
+    def test_levels_match_reference_eigensolve(self, separation, tilt, spec):
+        levels = solve_double_well(separation, tilt, 3, spec)
+        spec = spec or default_grid(separation, tilt)
+        energies, waves = _reference_levels(separation, tilt, 3, spec)
+        assert np.array_equal(levels.energies, energies)
+        assert np.array_equal(levels.wavefunctions, waves)
 
 
 class TestAbsorber:
