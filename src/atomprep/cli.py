@@ -49,8 +49,6 @@ class RunConfig:
     params: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     out: Path = Path(".")
-    fmt: str = "csv"
-    plot: bool = False
     out_given: bool = False
 
     def __getitem__(self, key):
@@ -139,12 +137,20 @@ def _switch(value, name: str) -> bool:
     return value
 
 
+def _format(value, name: str) -> str:
+    """'csv' or 'json'"""
+    if value not in ("csv", "json"):
+        raise ConfigurationError(f"parameter {name} must be csv or json, got {value!r}")
+    return value
+
+
 # A parameter's kind is the same in every subcommand; unlisted names are
 # numbers.  The converter's docstring is its --help text.
 _KINDS = {
     "base_points": _integer, "peak": _integer, "points": _integer,
     "nz": _integer, "nf": _integer, "nd": _integer, "workers": _integer,
-    "samples": _integer, "mass": _mass, "sudden": _switch,
+    "samples": _integer, "mass": _mass, "sudden": _switch, "plot": _switch,
+    "format": _format,
 }
 
 
@@ -165,8 +171,8 @@ def _scan(cfg: RunConfig):
     return spec, scattering.scan_spectrum(spec, lo, hi, base_points=cfg["base_points"])
 
 
-def _survey(cfg: RunConfig, **kwargs):
-    return splitting.gap_map((cfg["dmin"], cfg["dmax"]), (cfg["fmin"], cfg["fmax"]),
+def _survey(cfg: RunConfig, dmin: float, **kwargs):
+    return splitting.gap_map((dmin, cfg["dmax"]), (cfg["fmin"], cfg["fmax"]),
                              cfg["nd"], cfg["nf"], **kwargs)
 
 
@@ -191,7 +197,7 @@ def _cmd_spectrum(cfg: RunConfig):
          "resolved": pk.resolved}
         for pk in sp.peaks
     ]
-    if cfg.plot:
+    if cfg["plot"]:
         script = [
             f'set datafile separator ","',
             'set logscale y',
@@ -232,10 +238,12 @@ def _cmd_resonances(cfg: RunConfig):
 
 
 def _cmd_survival(cfg: RunConfig):
+    n = cfg["points"]
+    if n < 1:
+        raise ConfigurationError(f"--points must be at least 1, got {n}")
     spec, sp = _scan(cfg)
     res = resonance.fit_lorentzian(sp, cfg["peak"])
     tmax = 2.0 * res.tau if cfg["tmax"] is None else cfg["tmax"]
-    n = cfg["points"]
     times = np.linspace(0.0, tmax, n)
     s_exp = resonance.survival_exponential(res, times)
     s_spec = resonance.survival_from_spectrum(spec, res, times, window=cfg["window"])
@@ -251,6 +259,8 @@ def _cmd_survival(cfg: RunConfig):
 
 
 def _cmd_fidelity_map(cfg: RunConfig):
+    if cfg["plot"] and cfg["format"] == "json":
+        raise ConfigurationError("--plot needs --format csv: the script plots the CSV")
     fmap = culling.fidelity_map(
         (cfg["zmin"], cfg["zmax"]),
         (cfg["fmin"], cfg["fmax"]),
@@ -260,7 +270,7 @@ def _cmd_fidelity_map(cfg: RunConfig):
         workers=cfg["workers"],
     )
     out = cfg.out
-    if cfg.fmt == "json":
+    if cfg["format"] == "json":
         write_json(out, fmap.as_document())
     else:
         write_csv(
@@ -270,7 +280,7 @@ def _cmd_fidelity_map(cfg: RunConfig):
             "log10_loss [1], status",
             fmap.rows(),
         )
-        if cfg.plot:
+        if cfg["plot"]:
             _write_plot(out, [
                 'set datafile separator ","',
                 'set xlabel "tilt f"',
@@ -304,7 +314,7 @@ def _cmd_dfg(cfg: RunConfig):
 
 
 def _cmd_split_gap(cfg: RunConfig):
-    survey = _survey(cfg, spacing=cfg["spacing"])
+    survey = _survey(cfg, cfg["dmin"], spacing=cfg["spacing"])
     out = cfg.out
     write_csv(
         out,
@@ -312,7 +322,7 @@ def _cmd_split_gap(cfg: RunConfig):
         "gap [hbar*omega], centroid [x0]",
         survey.rows(),
     )
-    if cfg.plot:
+    if cfg["plot"]:
         _write_plot(out, [
             'set datafile separator ","',
             'set xlabel "separation d (x0)"',
@@ -325,7 +335,7 @@ def _cmd_split_gap(cfg: RunConfig):
 
 
 def _cmd_split_fidelity(cfg: RunConfig):
-    survey = _survey(cfg)
+    survey = _survey(cfg, 0.0)  # the planner starts at separation 0
     d_target, f_bias = cfg["d_target"], cfg["f_bias"]
     path = splitting.plan_split_path(survey, d_target, cfg["min_gap"], f_bias=f_bias)
     if cfg["sudden"]:
@@ -409,10 +419,10 @@ class Command(NamedTuple):
 
 _SCAN = {"z": REQUIRED, "f": REQUIRED, "emin": REQUIRED, "emax": REQUIRED,
          "base_points": 160}
-_SURVEY = {"dmin": 0.0, "dmax": 5.0, "nd": 26, "fmin": 0.08, "fmax": 0.16, "nf": 5}
+_SURVEY = {"dmax": 5.0, "nd": 26, "fmin": 0.08, "fmax": 0.16, "nf": 5}
 
 COMMANDS = {
-    "spectrum": Command(_cmd_spectrum, "spectrum.csv", _SCAN),
+    "spectrum": Command(_cmd_spectrum, "spectrum.csv", {**_SCAN, "plot": False}),
     "resonances": Command(_cmd_resonances, "resonances.csv", _SCAN),
     "survival": Command(_cmd_survival, "survival.csv", {
         **_SCAN, "emin": None, "emax": None, "peak": 0, "tmax": None,
@@ -420,11 +430,11 @@ COMMANDS = {
     "fidelity-map": Command(_cmd_fidelity_map, "fidelity_map.csv", {
         "zmin": REQUIRED, "zmax": REQUIRED, "fmin": REQUIRED, "fmax": REQUIRED,
         "nz": REQUIRED, "nf": REQUIRED, "residual": culling.RESIDUAL_DEFAULT,
-        "workers": 1}),
+        "workers": 1, "format": "csv", "plot": False}),
     "dfg-estimates": Command(_cmd_dfg, "dfg_estimates.json",
                              {"kfa": -0.3, "t_over_tf": 0.1}),
     "split-gap": Command(_cmd_split_gap, "split_gap.csv",
-                         {**_SURVEY, "spacing": 0.01}),
+                         {**_SURVEY, "dmin": 0.0, "spacing": 0.01, "plot": False}),
     "split-fidelity": Command(_cmd_split_fidelity, "split_fidelity.json", {
         **_SURVEY, "d_target": 4.82, "f_bias": 0.12, "duration": 400.0,
         "min_gap": 0.05, "samples": 400, "dt": 0.005, "sudden": False}),
@@ -445,9 +455,6 @@ def _parser(name: str) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog=f"atomprep {name}", allow_abbrev=False)
     p.add_argument("--config", help="JSON config file keyed by flag name; flags override")
     p.add_argument("--out", help="output file path")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--plot", action="store_true", default=None,
-                   help="emit a gnuplot script beside the data file")
     for key, default in COMMANDS[name].params.items():
         kind = _KINDS.get(key, _number)
         switch = {"action": "store_true", "default": None} if kind is _switch else {}
@@ -482,7 +489,7 @@ def _load_config(path, keys) -> dict:
 def _build_config(name: str, ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file and flags, and convert every parameter."""
     declared = COMMANDS[name].params
-    config = _load_config(ns.config, (*declared, "out", "format", "plot"))
+    config = _load_config(ns.config, (*declared, "out"))
 
     def given(key, default=None):
         value = getattr(ns, key)
@@ -500,16 +507,12 @@ def _build_config(name: str, ns: argparse.Namespace) -> RunConfig:
         values[key] = value
     out = given("out")
     out_given = out is not None
-    fmt = given("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigurationError(f"format must be csv or json, got {fmt!r}")
     if out is None:
         out = COMMANDS[name].out
-        if fmt == "json" and out.endswith(".csv"):
-            out = out[:-4] + ".json"
+        if values.get("format") == "json":
+            out = out.replace(".csv", ".json")
     return RunConfig(subcommand=name, params=params, values=values,
-                     out=Path(out), fmt=fmt, plot=bool(given("plot", False)),
-                     out_given=out_given)
+                     out=Path(out), out_given=out_given)
 
 
 def run(argv) -> int:

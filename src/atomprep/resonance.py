@@ -133,15 +133,14 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
             f"nonpositive net phase slope {slope:g} at e0={e0:g}; not a resonance?"
         )
     arg = h * slope
+    # A Breit-Wigner phase turns by 2 atan(2h/g) < pi across the central
+    # step, so a steeper slope has no width to invert at this step.
     if arg >= 0.5 * math.pi:
-        # Steeper than a half-turn across the probe step: the true width
-        # is far below the probe scale; the inversion still returns the
-        # (tiny) consistent value via the tangent.
-        arg = min(arg, 0.5 * math.pi)
-    width = 2.0 * h / math.tan(arg) if arg < 0.5 * math.pi else 0.0
-    if width <= 0.0 or not math.isfinite(width):
-        raise NumericalError(f"phase-slope width underflowed at e0={e0:g}")
-    return width
+        raise NumericalError(
+            f"net phase slope {slope:g} at e0={e0:g} is too steep for the "
+            f"probe step {h:g}"
+        )
+    return 2.0 * h / math.tan(arg)
 
 
 def _fit(shape, xi, q, width0):
@@ -156,6 +155,15 @@ def _fit(shape, xi, q, width0):
     return p, float(np.sqrt(np.mean((shape(xi, *p) - q) ** 2))) / abs(p[0])
 
 
+def _peak(spectrum: Spectrum, peak_index: int):
+    """The indexed peak; negative or too large indices raise DomainError."""
+    if not 0 <= peak_index < len(spectrum.peaks):
+        raise DomainError(
+            f"peak_index {peak_index} out of range ({len(spectrum.peaks)} peaks)"
+        )
+    return spectrum.peaks[peak_index]
+
+
 def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
     """Fit one resolved peak of a scanned spectrum.
 
@@ -164,12 +172,7 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
     from_phase_only for a flagged estimate in that case.
     """
 
-    try:
-        peak = spectrum.peaks[peak_index]
-    except IndexError:
-        raise DomainError(
-            f"peak_index {peak_index} out of range ({len(spectrum.peaks)} peaks)"
-        ) from None
+    peak = _peak(spectrum, peak_index)
     if not peak.resolved:
         raise WidthUnresolvedError(
             f"peak at {peak.center:.12g} is narrower than the scan resolution floor",
@@ -225,7 +228,7 @@ def from_phase_only(spectrum: Spectrum, peak_index: int) -> Resonance:
     lineshape fields are NaN.
     """
 
-    peak = spectrum.peaks[peak_index]
+    peak = _peak(spectrum, peak_index)
     if peak.resolved:
         raise DomainError(
             f"peak at {peak.center:.12g} is resolved; use fit_lorentzian"

@@ -18,6 +18,7 @@ one and is not solved separately.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -133,8 +134,8 @@ def solve_double_well(
 class GapMap:
     """Gap survey over a (separation, tilt) grid.
 
-    Arrays are indexed [i_separation, j_tilt]; failed points carry NaN
-    entries and the error text in notes.
+    Arrays are indexed [i_separation, j_tilt]; every cell holds a solved
+    configuration, since gap_map raises on the first one that fails.
     """
 
     separations: np.ndarray
@@ -143,13 +144,9 @@ class GapMap:
     e1: np.ndarray
     gaps: np.ndarray
     centroids: np.ndarray
-    notes: tuple[tuple[str, ...], ...]
 
     def rows(self):
-        """Iterate (d, f, e0, e1, gap, centroid) in grid order.
-
-        Failed cells show as NaN; the reason stays in notes.
-        """
+        """Iterate (d, f, e0, e1, gap, centroid) in grid order."""
         for i, d in enumerate(self.separations):
             for j, f in enumerate(self.tilts):
                 yield (
@@ -173,7 +170,8 @@ def gap_map(
 
     A deliberately coarser default spacing than solve_double_well's:
     the survey feeds path planning, where 1e-4-level gap accuracy is
-    ample.  Per-point failures are recorded in notes, never raised.
+    ample.  A bad spacing or range raises its DomainError at the first
+    cell; no cell is left unsolved.
     """
 
     if nd < 1 or nf < 1:
@@ -182,35 +180,16 @@ def gap_map(
         raise DomainError(f"bad ranges {d_range}, {f_range}")
     seps = np.linspace(d_range[0], d_range[1], nd)
     tilts = np.linspace(f_range[0], f_range[1], nf)
-    e0 = np.full((nd, nf), math.nan)
-    e1 = np.full((nd, nf), math.nan)
-    gaps = np.full((nd, nf), math.nan)
-    cents = np.full((nd, nf), math.nan)
-    notes: list[tuple[str, ...]] = []
+    # (e0, e1, gap, centroid) per cell; only these four numbers are kept,
+    # not the wavefunctions
+    cells = np.empty((nd, nf, 4))
     for i, d in enumerate(seps):
-        row_notes = []
         for j, f in enumerate(tilts):
-            try:
-                spec = default_grid(float(d), float(f), spacing)
-                levels = solve_double_well(float(d), float(f), 2, spec)
-            except Exception as exc:  # recorded in-map, sweep continues
-                row_notes.append(f"{type(exc).__name__}: {exc}")
-                continue
-            e0[i, j] = levels.energies[0]
-            e1[i, j] = levels.energies[1]
-            gaps[i, j] = levels.gap
-            cents[i, j] = levels.ground_centroid
-            row_notes.append("ok")
-        notes.append(tuple(row_notes))
-    return GapMap(
-        separations=seps,
-        tilts=tilts,
-        e0=e0,
-        e1=e1,
-        gaps=gaps,
-        centroids=cents,
-        notes=tuple(notes),
-    )
+            spec = default_grid(float(d), float(f), spacing)
+            levels = solve_double_well(float(d), float(f), 2, spec)
+            cells[i, j] = (*levels.energies, levels.gap, levels.ground_centroid)
+    e0, e1, gaps, cents = cells.transpose(2, 0, 1)
+    return GapMap(separations=seps, tilts=tilts, e0=e0, e1=e1, gaps=gaps, centroids=cents)
 
 
 def plan_split_path(
@@ -249,16 +228,10 @@ def plan_split_path(
 
     # Bottleneck shortest path (maximize the minimum node gap) by a
     # priority queue over (i, j) nodes; d monotone by construction.
-    import heapq
-
-    def node_gap(i, j):
-        g = survey.gaps[i, j]
-        return -math.inf if math.isnan(g) else float(g)
-
     best = np.full((nd, nf), -math.inf)
     prev: dict[tuple[int, int], tuple[int, int]] = {}
     start = (0, j_bias)
-    best[start] = node_gap(*start)
+    best[start] = survey.gaps[start]
     heap = [(-best[start], start)]
     while heap:
         neg, (i, j) = heapq.heappop(heap)
@@ -269,7 +242,7 @@ def plan_split_path(
         for ni, nj in moves:
             if not (0 <= ni <= i_end and 0 <= nj < nf):
                 continue
-            cand = min(width, node_gap(ni, nj))
+            cand = min(width, float(survey.gaps[ni, nj]))
             if cand > best[ni, nj]:
                 best[ni, nj] = cand
                 prev[(ni, nj)] = (i, j)
@@ -277,7 +250,7 @@ def plan_split_path(
 
     goal = (i_end, j_bias)
     bottleneck = best[goal]
-    if not math.isfinite(bottleneck) or bottleneck < min_gap:
+    if bottleneck < min_gap:
         raise PathNotFoundError(
             f"best path bottleneck gap {bottleneck:g} below requested {min_gap:g}",
             bottleneck_gap=float(bottleneck),
@@ -294,11 +267,17 @@ def plan_split_path(
     return points
 
 
+def _nearest_gaps(survey: GapMap, d, f):
+    """Survey gaps at the grid nodes nearest to separations d and tilts f
+    (floats or arrays of one shape; the first node wins a tie)."""
+    i = np.argmin(np.abs(survey.separations - np.asarray(d)[..., None]), axis=-1)
+    j = np.argmin(np.abs(survey.tilts - np.asarray(f)[..., None]), axis=-1)
+    return survey.gaps[i, j]
+
+
 def path_gap(survey: GapMap, point: tuple[float, float]) -> float:
     """Survey gap at the grid node nearest to (separation, tilt)."""
-    i = int(np.argmin(np.abs(survey.separations - point[0])))
-    j = int(np.argmin(np.abs(survey.tilts - point[1])))
-    return float(survey.gaps[i, j])
+    return float(_nearest_gaps(survey, *point))
 
 
 def gap_adaptive_ramp(
@@ -330,21 +309,13 @@ def gap_adaptive_ramp(
         raise DomainError("path repeats a waypoint")
     arc = np.concatenate(([0.0], np.cumsum(seg)))
 
-    interp = lambda s: (  # noqa: E731  (local shorthand)
-        float(np.interp(s, arc, pts[:, 0])),
-        float(np.interp(s, arc, pts[:, 1])),
-    )
-
-    def local_gap(d, f):
-        g = path_gap(survey, (d, f))
-        if math.isnan(g):
-            raise DomainError(f"path crosses a failed survey point at ({d:g}, {f:g})")
-        return g
-
     # Pseudo-time along the arc: dp proportional to ds / gap^2, so equal
     # pseudo-time steps move slowly where the gap is small.
     s_fine = np.linspace(0.0, arc[-1], samples)
-    inv = np.array([1.0 / local_gap(*interp(s)) ** 2 for s in s_fine])
+    gaps = _nearest_gaps(
+        survey, np.interp(s_fine, arc, pts[:, 0]), np.interp(s_fine, arc, pts[:, 1])
+    )
+    inv = 1.0 / gaps**2
     pseudo = np.concatenate(
         ([0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(s_fine)))
     )
@@ -354,8 +325,6 @@ def gap_adaptive_ramp(
     u = times / duration
     progress = (u * u * (3.0 - 2.0 * u)) * pseudo[-1]
     s_of_t = np.interp(progress, pseudo, s_fine)
-    rows = []
-    for t, s in zip(times, s_of_t):
-        d, f = interp(float(s))
-        rows.append((float(t), d, f))
-    return rows
+    seps = np.interp(s_of_t, arc, pts[:, 0])
+    tilts = np.interp(s_of_t, arc, pts[:, 1])
+    return list(zip(times.tolist(), seps.tolist(), tilts.tolist()))

@@ -92,6 +92,7 @@ class TestSpectrumCommand:
             assert lib in man["versions"]
         assert "out_given" not in man["inputs"]
         assert man["inputs"]["z"] == "4.4"
+        assert man["inputs"]["plot"] is True
 
     def test_plot_script_references_data_file(self, out):
         script = out.with_name("spec.gp").read_text()
@@ -163,6 +164,14 @@ class TestSurvivalCommand:
                         "--out", str(out)])
         assert code == 2
         assert "usable range" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_one_exits_2(self, capsys, tmp_path, points):
+        out = tmp_path / "surv.csv"
+        assert cli.run(["survival", "--z", "4.4", "--f", "0.5",
+                        "--points", points, "--out", str(out)]) == 2
+        assert "--points" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unresolved_width_exits_3(self, capsys, tmp_path):
@@ -253,6 +262,14 @@ class TestSplitGapCommand:
             assert row[4] == approx(1.0, abs=1e-4)
         gaps_at_f01 = [row[4] for row in merged if row[1] == approx(0.1)]
         assert all(a > b for a, b in zip(gaps_at_f01, gaps_at_f01[1:]))
+        assert manifest_for(out)["inputs"]["plot"] is False
+
+    def test_zero_spacing_exits_2(self, capsys, tmp_path):
+        # the first cell raises; no table of unsolved cells is written
+        out = tmp_path / "sg.csv"
+        assert cli.run(["split-gap", "--spacing", "0", "--out", str(out)]) == 2
+        assert "spacing" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSplitFidelityCommand:
@@ -314,6 +331,32 @@ class TestConfigKeys:
                         "--nf", "2", "--config", "cfg.json"]) == 0
         doc = json.loads((tmp_path / "fidelity_map.json").read_text())
         assert [c["status"] for c in doc["cells"]] == ["out-of-range"] * 4
+
+    def test_format_key_outside_fidelity_map_exits_2(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # split-gap writes only CSV, so it does not take a format
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"format": "json"}))
+        assert cli.run(["split-gap", "--config", "cfg.json"]) == 2
+        assert "format" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["split-gap", "--format", "json"],
+        ["resonances", "--z", "4.4", "--f", "0.5", "--emin", "0.05",
+         "--emax", "1.5", "--plot"],
+        ["survival", "--z", "4.4", "--f", "0.5", "--format", "csv"],
+        ["split-fidelity", "--dmin", "0.5"],
+        ["units-convert", "--omega-hz", "1000", "--plot"],
+        # the gnuplot script reads only the CSV table
+        ["fidelity-map", "--zmin", "3", "--zmax", "3.5", "--fmin", "0.3",
+         "--fmax", "0.5", "--nz", "2", "--nf", "2", "--format", "json", "--plot"],
+    ])
+    def test_dropped_flags_exit_2(self, tmp_path, monkeypatch, argv):
+        # only the subcommands that honour --format or --plot take them
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(argv) == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_undeclared_key_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

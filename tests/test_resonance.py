@@ -8,11 +8,13 @@ exponential at several times and document the Fourier truncation bound.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from atomprep.errors import DomainError, WidthUnresolvedError
+from atomprep import scattering
+from atomprep.errors import DomainError, NumericalError, WidthUnresolvedError
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.resonance import (
     fit_lorentzian,
@@ -76,6 +78,24 @@ class TestFitLorentzian:
         assert excited_res.e0 == pytest.approx(1.29, abs=0.03)
         assert excited_res.tau == pytest.approx(1.0 / excited_res.gamma, rel=1e-12)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_out_of_range(self, fig_spectrum, index):
+        # -1 must not fit the last peak
+        with pytest.raises(DomainError, match="out of range"):
+            fit_lorentzian(fig_spectrum, index)
+
+    def test_phase_slope_too_steep_for_probe_step(self, monkeypatch):
+        # probes ordered (e0 +- h, e0 + far, e0 + near, e0 - near, e0 - far):
+        # a central phase step of 3.14 rad and falling background secants
+        # put h * slope above pi/2
+        steep = np.array([3.14, 0.0, 0.0, 1.0, 0.0, 1.0])
+        monkeypatch.setattr(
+            scattering, "match_amplitude",
+            lambda spec, energies: SimpleNamespace(phase=steep),
+        )
+        with pytest.raises(NumericalError, match="too steep for the probe step"):
+            phase_slope_width(FIG, 0.4, 1e-3)
+
     def test_phase_slope_consistency_on_reference(self, ground_res):
         assert abs(ground_res.gamma - ground_res.gamma_phase) <= 0.02 * ground_res.gamma
 
@@ -116,6 +136,12 @@ class TestUnresolvedPeaks:
     def test_phase_only_rejects_resolved(self, fig_spectrum):
         with pytest.raises(DomainError):
             from_phase_only(fig_spectrum, 0)
+
+    def test_phase_only_index_out_of_range(self, deep_spectrum):
+        # a DomainError, not a bare IndexError
+        for index in (-1, len(deep_spectrum.peaks)):
+            with pytest.raises(DomainError, match="out of range"):
+                from_phase_only(deep_spectrum, index)
 
 
 class TestSurvivalExponential:

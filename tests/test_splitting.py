@@ -133,6 +133,39 @@ class TestGapMap:
         with pytest.raises(DomainError):
             gap_map((5.0, 0.0), (0.0, 0.1), 3, 3)
 
+    def test_bad_spacing_raises(self):
+        # no cell can be solved, so the survey raises instead of
+        # returning a table of unsolved cells
+        with pytest.raises(ConfigurationError):
+            gap_map((0.0, 1.0), (0.0, 0.1), 2, 2, spacing=0.0)
+
+
+def _reference_ramp(survey, path, duration, samples):
+    """gap_adaptive_ramp one sample at a time: a nearest-node gap lookup
+    and two scalar interpolations per sample."""
+    pts = np.asarray(path, dtype=float)
+    seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+    arc = np.concatenate(([0.0], np.cumsum(seg)))
+
+    def at(s):
+        return float(np.interp(s, arc, pts[:, 0])), float(np.interp(s, arc, pts[:, 1]))
+
+    def gap(d, f):
+        i = int(np.argmin(np.abs(survey.separations - d)))
+        j = int(np.argmin(np.abs(survey.tilts - f)))
+        return float(survey.gaps[i, j])
+
+    s_fine = np.linspace(0.0, arc[-1], samples)
+    inv = np.array([1.0 / gap(*at(s)) ** 2 for s in s_fine])
+    pseudo = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (inv[1:] + inv[:-1]) * np.diff(s_fine)))
+    )
+    times = np.linspace(0.0, duration, samples)
+    u = times / duration
+    progress = (u * u * (3.0 - 2.0 * u)) * pseudo[-1]
+    s_of_t = np.interp(progress, pseudo, s_fine)
+    return [(float(t), *at(float(s))) for t, s in zip(times, s_of_t)]
+
 
 @pytest.fixture(scope="module")
 def survey():
@@ -177,6 +210,13 @@ class TestPathPlanning:
         dd = np.diff(seps)
         assert dd[0] <= 0.25 * dd.max()
         assert dd[-1] <= 0.25 * dd.max()
+
+    @pytest.mark.parametrize("d_target,f_bias", [(4.82, 0.12), (3.0, 0.16)])
+    def test_ramp_equals_per_sample_reference(self, survey, d_target, f_bias):
+        path = plan_split_path(survey, d_target, 0.05, f_bias=f_bias)
+        for duration, samples in ((400.0, 400), (160.0, len(path))):
+            ramp = gap_adaptive_ramp(survey, path, duration, samples=samples)
+            assert ramp == _reference_ramp(survey, path, duration, samples)
 
     def test_ramp_validation(self, survey):
         path = plan_split_path(survey, 4.82, 0.05, f_bias=0.12)
