@@ -10,7 +10,7 @@ and their ratio alone bounds the attainable single-atom fidelity.
 A sweep over (size, tilt) produces a loss map whose cells carry an explicit
 status instead of clipped values: shapes whose first excited level sits
 above the escape barrier are flagged out of range rather than scanned, and
-per-cell failures are recorded without aborting the sweep.
+a cell whose scan or fits fail is recorded without aborting the sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TrapShapeError, WidthUnresolvedError
+from .errors import DomainError, NumericalError, TrapShapeError, WidthUnresolvedError
 from .potential import TrapSpec, trap_geometry
 from .resonance import Resonance, fit_lorentzian
 from .scattering import energy_cap, scan_spectrum
@@ -46,26 +46,31 @@ STATUS_ERROR = "error"
 RESTORE_DEPTH_THRESHOLD = 1.5
 
 
+def _check_target(residual_target: float) -> None:
+    if not (0.0 < residual_target < 0.1):
+        raise DomainError(
+            f"residual_target must lie in (0, 0.1), got {residual_target}"
+        )
+
+
 @dataclass(frozen=True)
 class CullingPoint:
     """Lifetimes and fidelity budget of one trap shape.
 
-    gamma0 and gamma1 are the fitted widths of the two lowest quasi-bound
-    states, tau0_over_tau1 their lifetime ratio, t_hold the wait that
-    brings the excited survival down to the residual target, and
-    ground_loss the ground-state population lost over that wait.
+    Stores the fitted widths gamma0, gamma1 of the two lowest quasi-bound
+    states and the residual target; derived from them are tau0_over_tau1,
+    t_hold (the wait that brings the excited survival down to the target)
+    and ground_loss (the ground-state population lost over that wait).
     """
 
     size: float
     tilt: float
     gamma0: float
     gamma1: float
-    tau0_over_tau1: float
-    t_hold: float
-    ground_loss: float
-    log10_loss: float
+    residual_target: float = RESIDUAL_DEFAULT
 
     def __post_init__(self):
+        _check_target(self.residual_target)
         if not (self.gamma0 > 0.0 and self.gamma1 > 0.0):
             raise DomainError("widths must be positive")
         if not self.tau0_over_tau1 >= 1.0:
@@ -73,8 +78,22 @@ class CullingPoint:
                 f"ground state must outlive the excited state, got lifetime "
                 f"ratio {self.tau0_over_tau1}"
             )
-        if not 0.0 <= self.ground_loss <= 1.0:
-            raise DomainError(f"ground_loss {self.ground_loss} outside [0, 1]")
+
+    @property
+    def tau0_over_tau1(self) -> float:
+        return self.gamma1 / self.gamma0
+
+    @property
+    def t_hold(self) -> float:
+        return -math.log(self.residual_target) / self.gamma1
+
+    @property
+    def ground_loss(self) -> float:
+        return -math.expm1(-self.gamma0 * self.t_hold)
+
+    @property
+    def log10_loss(self) -> float:
+        return math.log10(self.ground_loss)
 
     @property
     def fidelity(self) -> float:
@@ -109,21 +128,6 @@ def scan_window(spec: TrapSpec) -> tuple[float, float]:
     return SCAN_FLOOR, hi
 
 
-def _assemble(size, tilt, gamma0, gamma1, residual_target) -> CullingPoint:
-    t_hold = -math.log(residual_target) / gamma1
-    ground_loss = -math.expm1(-gamma0 * t_hold)
-    return CullingPoint(
-        size=size,
-        tilt=tilt,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        tau0_over_tau1=gamma1 / gamma0,
-        t_hold=t_hold,
-        ground_loss=ground_loss,
-        log10_loss=math.log10(ground_loss),
-    )
-
-
 def culling_point(
     size: float, tilt: float, residual_target: float = RESIDUAL_DEFAULT
 ) -> CullingPoint:
@@ -143,10 +147,7 @@ def culling_point(
         If residual_target is outside (0, 0.1) or the trap parameters are
         invalid.
     """
-    if not (0.0 < residual_target < 0.1):
-        raise DomainError(
-            f"residual_target must lie in (0, 0.1), got {residual_target}"
-        )
+    _check_target(residual_target)
     spec = TrapSpec(size, tilt)
     lo, hi = scan_window(spec)
     spectrum = scan_spectrum(spec, lo, hi)
@@ -163,90 +164,96 @@ def culling_point(
             f"trap (size={size}, tilt={tilt}) has a width below the scan "
             f"resolution floor (upper bound {exc.width_upper_bound:.3g})"
         ) from exc
-    return _assemble(size, tilt, r0.gamma, r1.gamma, residual_target)
+    return CullingPoint(size, tilt, r0.gamma, r1.gamma, residual_target)
+
+
+# The numbers of a CSV row; the JSON record also carries ground_loss.
+_ROW_NUMBERS = ("gamma0", "gamma1", "tau0_over_tau1", "t_hold", "log10_loss")
+
+
+@dataclass(frozen=True)
+class MapCell:
+    """One grid point of a fidelity map: point is the CullingPoint of an
+    "ok" cell, note the message of an "error" cell, else both are None."""
+
+    z: float
+    f: float
+    status: str
+    point: CullingPoint | None = None
+    note: str | None = None
+
+    def record(self) -> dict:
+        """JSON-ready record: z, f and status, the budget numbers of an ok
+        cell and the note of an error cell."""
+        rec = {"z": self.z, "f": self.f, "status": self.status}
+        p = self.point
+        if p is not None:
+            rec.update(gamma0=p.gamma0, gamma1=p.gamma1, tau0_over_tau1=p.tau0_over_tau1,
+                       t_hold=p.t_hold, ground_loss=p.ground_loss, log10_loss=p.log10_loss)
+        if self.note is not None:
+            rec["note"] = self.note
+        return rec
 
 
 @dataclass(frozen=True)
 class FidelityMap:
-    """Grid of culling points over trap size and tilt.
+    """Grid of culling results over trap size and tilt.
 
-    points[i][j] corresponds to (z_grid[i], f_grid[j]) and is None wherever
-    status[i][j] is not "ok".  notes carries the error message for every
-    "error" cell, keyed by (i, j).
+    cells holds one MapCell per grid point in row order: cells[i * nf + j]
+    is the cell at (z_grid[i], f_grid[j]), where nf = len(f_grid).
     """
 
     z_grid: np.ndarray
     f_grid: np.ndarray
-    points: list
-    status: list
-    notes: dict
+    cells: list
     residual_target: float
 
     def __post_init__(self):
-        nz, nf = len(self.z_grid), len(self.f_grid)
-        if len(self.points) != nz or any(len(r) != nf for r in self.points):
-            raise DomainError("points matrix shape must match the grids")
-        if len(self.status) != nz or any(len(r) != nf for r in self.status):
-            raise DomainError("status matrix shape must match the grids")
+        if len(self.cells) != len(self.z_grid) * len(self.f_grid):
+            raise DomainError("one cell per grid point expected")
+
+    @property
+    def status(self) -> list:
+        """Cell statuses as rows: status[i][j] belongs to (z_grid[i], f_grid[j])."""
+        nf = len(self.f_grid)
+        return [[c.status for c in self.cells[i * nf:(i + 1) * nf]]
+                for i in range(len(self.z_grid))]
 
     def ok_points(self):
         """Yield (i, j, CullingPoint) for every successfully scanned cell."""
-        for i in range(len(self.z_grid)):
-            for j in range(len(self.f_grid)):
-                if self.status[i][j] == STATUS_OK:
-                    yield i, j, self.points[i][j]
+        for k, cell in enumerate(self.cells):
+            if cell.status == STATUS_OK:
+                yield (*divmod(k, len(self.f_grid)), cell.point)
 
     def rows(self):
         """Yield per-cell rows: (z, f, gamma0, gamma1, ratio, t_hold,
         log10_loss, status), with NaN numerics for non-ok cells."""
-        nan = float("nan")
-        for i, z in enumerate(self.z_grid):
-            for j, f in enumerate(self.f_grid):
-                p = self.points[i][j]
-                if p is None:
-                    yield (float(z), float(f), nan, nan, nan, nan, nan,
-                           self.status[i][j])
-                else:
-                    yield (float(z), float(f), p.gamma0, p.gamma1,
-                           p.tau0_over_tau1, p.t_hold, p.log10_loss,
-                           self.status[i][j])
+        for cell in self.cells:
+            rec = cell.record()
+            yield (rec["z"], rec["f"], *(rec.get(name, math.nan) for name in _ROW_NUMBERS),
+                   rec["status"])
 
     def as_document(self) -> dict:
         """JSON-ready document: grid metadata plus per-cell records."""
-        cells = []
-        for i, z in enumerate(self.z_grid):
-            for j, f in enumerate(self.f_grid):
-                cell = {"z": float(z), "f": float(f),
-                        "status": self.status[i][j]}
-                p = self.points[i][j]
-                if p is not None:
-                    cell.update(
-                        gamma0=p.gamma0, gamma1=p.gamma1,
-                        tau0_over_tau1=p.tau0_over_tau1, t_hold=p.t_hold,
-                        ground_loss=p.ground_loss, log10_loss=p.log10_loss,
-                    )
-                note = self.notes.get((i, j))
-                if note is not None:
-                    cell["note"] = note
-                cells.append(cell)
         return {
             "z_grid": [float(z) for z in self.z_grid],
             "f_grid": [float(f) for f in self.f_grid],
             "residual_target": self.residual_target,
-            "cells": cells,
+            "cells": [cell.record() for cell in self.cells],
         }
 
 
-def _point_task(args):
-    """Evaluate one map cell; exceptions become data so sweeps never abort."""
+def _point_task(args) -> MapCell:
+    """Evaluate one map cell.  culling_point's documented failures become an
+    error cell so the sweep completes; any other exception propagates."""
     size, tilt, residual_target = args
-    spec = TrapSpec(size, tilt)
-    if not excited_state_bound(spec):
-        return STATUS_OUT_OF_RANGE, None, None
+    if not excited_state_bound(TrapSpec(size, tilt)):
+        return MapCell(size, tilt, STATUS_OUT_OF_RANGE)
     try:
-        return STATUS_OK, culling_point(size, tilt, residual_target), None
-    except (DomainError, ArithmeticError, RuntimeError) as exc:
-        return STATUS_ERROR, None, f"{type(exc).__name__}: {exc}"
+        point = culling_point(size, tilt, residual_target)
+    except (TrapShapeError, NumericalError) as exc:
+        return MapCell(size, tilt, STATUS_ERROR, note=f"{type(exc).__name__}: {exc}")
+    return MapCell(size, tilt, STATUS_OK, point)
 
 
 def fidelity_map(
@@ -260,16 +267,16 @@ def fidelity_map(
     """Sweep culling_point over a (size, tilt) grid.
 
     Cells whose estimated excited level is unbound are flagged out of range
-    without scanning; cells where the scan or the fits fail carry an error
-    status and the message, and the sweep always completes.  Results are
-    assembled in grid order, so the output is identical for any worker
-    count.
+    without scanning; cells where culling_point raises TrapShapeError or
+    NumericalError carry an error status and the message, and any other
+    exception propagates.  The map holds one MapCell per grid point in row
+    order, so the output is identical for any worker count.
 
     Parameters
     ----------
     z_range, f_range : (float, float)
-        Inclusive parameter ranges; every (z, f) combination must satisfy
-        the trap validity constraint tilt < size/2.
+        Inclusive ranges, low to high; every (z, f) combination must
+        satisfy the trap validity constraint tilt < size/2.
     nz, nf : int
         Grid sizes, >= 1.
     residual_target : float
@@ -282,10 +289,9 @@ def fidelity_map(
         raise DomainError(f"workers must be >= 1, got {workers}")
     if nz < 1 or nf < 1:
         raise DomainError(f"grid sizes must be >= 1, got {nz} x {nf}")
-    if not (0.0 < residual_target < 0.1):
-        raise DomainError(
-            f"residual_target must lie in (0, 0.1), got {residual_target}"
-        )
+    if z_range[1] < z_range[0] or f_range[1] < f_range[0]:
+        raise DomainError(f"ranges must run low to high, got {z_range}, {f_range}")
+    _check_target(residual_target)
     z_grid = np.linspace(float(z_range[0]), float(z_range[1]), nz)
     f_grid = np.linspace(float(f_range[0]), float(f_range[1]), nf)
     # validate the whole grid up front: the worst case is smallest z, largest f
@@ -299,31 +305,10 @@ def fidelity_map(
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_point_task, tasks, chunksize=4))
+            cells = list(pool.map(_point_task, tasks, chunksize=4))
     else:
-        results = [_point_task(t) for t in tasks]
-
-    points, status, notes = [], [], {}
-    k = 0
-    for i in range(nz):
-        prow, srow = [], []
-        for j in range(nf):
-            st, pt, note = results[k]
-            k += 1
-            prow.append(pt)
-            srow.append(st)
-            if note is not None:
-                notes[(i, j)] = note
-        points.append(prow)
-        status.append(srow)
-    return FidelityMap(
-        z_grid=z_grid,
-        f_grid=f_grid,
-        points=points,
-        status=status,
-        notes=notes,
-        residual_target=residual_target,
-    )
+        cells = [_point_task(t) for t in tasks]
+    return FidelityMap(z_grid, f_grid, cells, residual_target)
 
 
 def hold_and_restore_report(point: CullingPoint, units: UnitSystem) -> dict:

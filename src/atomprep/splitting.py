@@ -202,9 +202,11 @@ def plan_split_path(
 
     Nodes are survey grid points; moves increase the separation index by
     one (tilt index changing by at most one) or step the tilt index at
-    fixed separation, so the separation never decreases.  The returned
-    path maximizes the minimum gap encountered; if that bottleneck is
-    below min_gap, PathNotFoundError reports it.
+    fixed separation, so the separation never decreases.  The path starts
+    and ends at the survey tilt nearest to f_bias, which must lie within
+    the survey's tilts (it need not be a node).  The returned path
+    maximizes the minimum gap encountered; if that bottleneck is below
+    min_gap, PathNotFoundError reports it.
     """
 
     if d_target < 0.0:
@@ -215,6 +217,11 @@ def plan_split_path(
         raise DomainError(
             f"survey covers separations up to {survey.separations[-1]:g}, "
             f"target {d_target:g} beyond it"
+        )
+    if not survey.tilts[0] - 1e-9 <= f_bias <= survey.tilts[-1] + 1e-9:
+        raise DomainError(
+            f"survey covers tilts {survey.tilts[0]:g} to {survey.tilts[-1]:g}, "
+            f"bias {f_bias:g} outside them"
         )
     # March to the last survey node at or below the target, then append
     # the exact target point so the ramp ends where the caller asked.

@@ -118,12 +118,7 @@ def test_04_fidelity_identity_and_map_point(capsys):
     t0 = time.perf_counter()
     fig_pt = culling_point(4.4, 0.5)
     gamma1 = LOG_TARGET / 1370.0
-    headline = CullingPoint(
-        size=4.4, tilt=0.22, gamma0=gamma1 / 7.53e5, gamma1=gamma1,
-        tau0_over_tau1=7.53e5, t_hold=1370.0,
-        ground_loss=-math.expm1(-gamma1 / 7.53e5 * 1370.0),
-        log10_loss=math.log10(-math.expm1(-gamma1 / 7.53e5 * 1370.0)),
-    )
+    headline = CullingPoint(size=4.4, tilt=0.22, gamma0=gamma1 / 7.53e5, gamma1=gamma1)
     fmap = fidelity_map((4.30, 4.50), (0.20, 0.26), 5, 4)
     points = [fig_pt, headline] + [p for _, _, p in fmap.ok_points()]
     identity_dev = max(

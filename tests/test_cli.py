@@ -223,6 +223,14 @@ class TestFidelityMapCommand:
         assert cli.run(["fidelity-map"]) == 2
         assert "missing required parameter" in capsys.readouterr().err
 
+    def test_reversed_range_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "map.csv"
+        assert cli.run(["fidelity-map", "--zmin", "3.5", "--zmax", "3",
+                        "--fmin", "0.5", "--fmax", "0.3", "--nz", "2", "--nf", "2",
+                        "--out", str(out)]) == 2
+        assert "low to high" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDfgCommand:
     def test_stdout_only_without_out(self, capsys, tmp_path, monkeypatch):
@@ -284,6 +292,14 @@ class TestSplitFidelityCommand:
         assert doc["bottleneck_gap"] == approx(0.456831, rel=1e-5)
         assert doc["bottleneck_gap"] >= doc["min_gap"]
         assert doc["path_nodes"] == 27
+
+    def test_bias_outside_survey_exits_2(self, capsys, tmp_path):
+        # the default survey spans tilts 0.08-0.16
+        out = tmp_path / "sf.json"
+        assert cli.run(["split-fidelity", "--f-bias", "0.5", "--duration", "40",
+                        "--dt", "0.02", "--out", str(out)]) == 2
+        assert "bias 0.5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUnitsConvertCommand:

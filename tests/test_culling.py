@@ -9,6 +9,7 @@ from atomprep import culling
 from atomprep.culling import (
     CullingPoint,
     FidelityMap,
+    MapCell,
     STATUS_ERROR,
     STATUS_OK,
     STATUS_OUT_OF_RANGE,
@@ -34,18 +35,7 @@ LI6_MASS = 6.0151228 * 1.66053906660e-27
 def assemble_point(ratio, t_hold=1370.0, size=4.4, tilt=0.22):
     """Build a CullingPoint from a lifetime ratio without running a scan."""
     gamma1 = LOG_TARGET / t_hold
-    gamma0 = gamma1 / ratio
-    loss = -math.expm1(-gamma0 * t_hold)
-    return CullingPoint(
-        size=size,
-        tilt=tilt,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        tau0_over_tau1=ratio,
-        t_hold=t_hold,
-        ground_loss=loss,
-        log10_loss=math.log10(loss),
-    )
+    return CullingPoint(size=size, tilt=tilt, gamma0=gamma1 / ratio, gamma1=gamma1)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +72,17 @@ class TestCullingPoint:
         assert p.tau0_over_tau1 == approx(p.gamma1 / p.gamma0, rel=1e-12)
         assert p.log10_loss == approx(math.log10(p.ground_loss), rel=1e-12)
         assert p.fidelity == approx(1.0 - p.ground_loss, rel=1e-12)
+
+    def test_budget_is_bitwise_the_assembled_arithmetic(self, fig_point):
+        # reference arithmetic for the derived budget: map files and hold
+        # reports carry these numbers, so they must match bit for bit
+        for p in (fig_point, assemble_point(50.0), culling_point(4.6, 0.5, 1e-3)):
+            t_hold = -math.log(p.residual_target) / p.gamma1
+            ground_loss = -math.expm1(-p.gamma0 * t_hold)
+            assert p.tau0_over_tau1 == p.gamma1 / p.gamma0
+            assert p.t_hold == t_hold
+            assert p.ground_loss == ground_loss
+            assert p.log10_loss == math.log10(ground_loss)
 
     def test_first_order_identity_exact(self, fig_point):
         # gamma0 * t_hold * (gamma1/gamma0) telescopes to -ln(residual)
@@ -135,13 +136,10 @@ class TestCullingPoint:
         with pytest.raises(DomainError):
             assemble_point(0.5)  # excited state may not outlive the ground
         with pytest.raises(DomainError):
-            CullingPoint(size=4.4, tilt=0.2, gamma0=0.0, gamma1=0.1,
-                         tau0_over_tau1=2.0, t_hold=1.0, ground_loss=0.1,
-                         log10_loss=-1.0)
-        with pytest.raises(DomainError):
+            CullingPoint(size=4.4, tilt=0.2, gamma0=0.0, gamma1=0.1)
+        with pytest.raises(DomainError, match="residual_target"):
             CullingPoint(size=4.4, tilt=0.2, gamma0=0.01, gamma1=0.1,
-                         tau0_over_tau1=10.0, t_hold=1.0, ground_loss=1.5,
-                         log10_loss=0.0)
+                         residual_target=0.5)
 
 
 class TestScanWindowAndBoundPredicate:
@@ -182,8 +180,9 @@ class TestScanWindowAndBoundPredicate:
 
 class TestFidelityMap:
     def test_grid_and_status_layout(self, region_map):
-        assert len(region_map.points) == 5
-        assert all(len(row) == 5 for row in region_map.points)
+        assert len(region_map.cells) == 25
+        assert len(region_map.status) == 5
+        assert all(len(row) == 5 for row in region_map.status)
         counts = {}
         for row in region_map.status:
             for st in row:
@@ -191,7 +190,10 @@ class TestFidelityMap:
         assert counts == {STATUS_OK: 15, STATUS_OUT_OF_RANGE: 10}
         for i, row in enumerate(region_map.status):
             for j, st in enumerate(row):
-                assert (region_map.points[i][j] is None) == (st != STATUS_OK)
+                cell = region_map.cells[i * 5 + j]
+                assert (cell.z, cell.f) == (region_map.z_grid[i], region_map.f_grid[j])
+                assert cell.status == st
+                assert (cell.point is None) == (st != STATUS_OK)
 
     def test_high_fidelity_region_exists(self, region_map):
         best = min(p.log10_loss for _, _, p in region_map.ok_points())
@@ -209,7 +211,7 @@ class TestFidelityMap:
         m = fidelity_map((4.6, 4.6), (0.5, 0.5), 1, 1)
         direct = culling_point(4.6, 0.5)
         assert m.status[0][0] == STATUS_OK
-        p = m.points[0][0]
+        p = m.cells[0].point
         for name in ("gamma0", "gamma1", "tau0_over_tau1", "t_hold",
                      "ground_loss", "log10_loss"):
             assert getattr(p, name) == getattr(direct, name)
@@ -227,9 +229,21 @@ class TestFidelityMap:
         assert by_cell[(6.0, 0.5)] == STATUS_OK
 
     def test_error_cells_carry_notes(self, mixed_map):
-        note = mixed_map.notes[(2, 0)]
-        assert note.startswith("TrapShapeError")
-        assert "resolution floor" in note
+        cell = mixed_map.cells[2 * 2 + 0]
+        assert (cell.z, cell.f, cell.status) == (6.0, 0.3, STATUS_ERROR)
+        assert cell.note.startswith("TrapShapeError")
+        assert "resolution floor" in cell.note
+        assert [c.note is not None for c in mixed_map.cells] == [
+            c.status == STATUS_ERROR for c in mixed_map.cells]
+
+    def test_unexpected_exception_aborts_the_sweep(self, monkeypatch):
+        # only culling_point's documented failures become error cells
+        def broken(size, tilt, residual_target):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(culling, "culling_point", broken)
+        with pytest.raises(ZeroDivisionError):
+            fidelity_map((4.6, 4.6), (0.5, 0.5), 1, 1)
 
     def test_document_structure(self, mixed_map):
         doc = mixed_map.as_document()
@@ -262,8 +276,13 @@ class TestFidelityMap:
         with pytest.raises(DomainError):
             fidelity_map((1.0, 5.0), (0.6, 0.7), 3, 3)
         with pytest.raises(DomainError):
-            FidelityMap(z_grid=[4.0, 5.0], f_grid=[0.3], points=[[None]],
-                        status=[[STATUS_OK]], notes={}, residual_target=1e-5)
+            FidelityMap(z_grid=[4.0, 5.0], f_grid=[0.3],
+                        cells=[MapCell(4.0, 0.3, STATUS_OUT_OF_RANGE)],
+                        residual_target=1e-5)
+        # reversed ranges are rejected, as gap_map rejects them
+        for z_range, f_range in (((5.0, 4.0), (0.3, 0.5)), ((4.0, 5.0), (0.5, 0.3))):
+            with pytest.raises(DomainError, match="low to high"):
+                fidelity_map(z_range, f_range, 2, 2)
         for workers in (0, -2):
             with pytest.raises(DomainError, match="workers"):
                 fidelity_map((4.0, 5.0), (0.3, 0.5), 3, 3, workers=workers)

@@ -3,7 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-from atomprep import resonance
+from atomprep import culling, resonance
 from atomprep.potential import TrapSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +43,20 @@ def test_spectral_survival_matches_single_energies_under_its_span(ground_res):
     metrics = tracer.metrics()
     assert metrics["resonance.spectral_calls"] == 1
     assert metrics["resonance.match_calls_per_spectral"] >= 21
+
+
+def test_map_observer_counts_cell_statuses():
+    # culling.cells, cells_scanned and ok_ratio come from the observer that
+    # reads the status rows of the map fidelity_map returns
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # (4.0, 0.5) is out of range, (4.6, 0.5) is ok
+        culling.fidelity_map((4.0, 4.6), (0.5, 0.5), 2, 1)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["culling.cells"] == 2
+    assert metrics["culling.cells_scanned"] == 1
+    assert metrics["culling.ok_ratio"] == 1

@@ -218,6 +218,13 @@ class TestPathPlanning:
             ramp = gap_adaptive_ramp(survey, path, duration, samples=samples)
             assert ramp == _reference_ramp(survey, path, duration, samples)
 
+    def test_bias_outside_survey_tilts_raises(self, survey):
+        # the survey spans tilts 0.08-0.16; a bias between nodes is allowed
+        assert plan_split_path(survey, 1.0, 0.05, f_bias=0.13)[0][0] == 0.0
+        for f_bias in (0.5, 0.07, -0.12):
+            with pytest.raises(DomainError, match="tilts"):
+                plan_split_path(survey, 4.82, 0.05, f_bias=f_bias)
+
     def test_ramp_validation(self, survey):
         path = plan_split_path(survey, 4.82, 0.05, f_bias=0.12)
         with pytest.raises(DomainError):
