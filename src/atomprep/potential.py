@@ -120,7 +120,7 @@ def eval_double_well(separation: float, tilt: float, x) -> np.ndarray | float:
         raise DomainError(f"tilt must be finite, got {tilt}")
     x = np.asarray(x, dtype=float)
     half = 0.5 * separation
-    left = 0.5 * (x + half) ** 2
-    right = 0.5 * (x - half) ** 2
-    v = np.where(x < 0.0, left, right) + tilt * x
+    # For x < 0, |x| - half rounds to exactly -(x + half): one branch
+    # gives both wells.
+    v = 0.5 * (np.abs(x) - half) ** 2 + tilt * x
     return v if v.ndim else float(v)

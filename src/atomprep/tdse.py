@@ -147,6 +147,11 @@ def downhill_absorber(grid: np.ndarray, edge: float) -> np.ndarray:
     return ABSORBER_STRENGTH * ramp * ramp
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise DomainError(f"{name} has non-finite values")
+
+
 def propagate(
     psi0: WavePacket,
     potential: Callable[[float], np.ndarray] | np.ndarray,
@@ -162,22 +167,27 @@ def propagate(
     t -> array; time-dependent potentials are evaluated at midpoints
     t + dt/2.  Survival is the weighted norm over survival_bounds (the
     full grid when None), sampled at at least min_samples times.  dt
-    must not exceed MAX_DT.  Without an absorber, norm growth beyond
-    1e-6 aborts with a numerical-failure error.
+    must not exceed MAX_DT.  A non-finite t_final, or non-finite values
+    in psi0, the potential or the absorber, raise DomainError.  Without
+    an absorber, norm growth beyond 1e-6 aborts with a numerical-failure
+    error.
     """
 
     if not 0.0 < dt <= MAX_DT:
         raise ConfigurationError(f"dt must be in (0, {MAX_DT}], got {dt}")
-    if t_final < 0.0:
-        raise DomainError(f"t_final must be nonnegative, got {t_final}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise DomainError(f"t_final must be finite and nonnegative, got {t_final}")
     grid = psi0.grid
     h = psi0.spacing
+    _require_finite("initial state", psi0.values)
     if not callable(potential):
         potential = np.asarray(potential, dtype=float)
         if potential.shape != grid.shape:
             raise ConfigurationError("potential array does not match the grid")
+        _require_finite("potential", potential)
     if absorber is not None:
         absorber = np.asarray(absorber, dtype=float)
+        _require_finite("absorber", absorber)
         if absorber.shape != grid.shape or np.any(absorber < 0.0):
             raise ConfigurationError("absorber must be nonnegative on the grid")
 
@@ -294,9 +304,8 @@ def split_fidelity(
     rows = [(float(t), float(d), float(f)) for t, d, f in ramp]
     if not rows:
         raise DomainError("empty ramp")
-    times = np.array([r[0] for r in rows])
-    seps = np.array([r[1] for r in rows])
-    tilts = np.array([r[2] for r in rows])
+    times, seps, tilts = np.array(rows).T.copy()
+    _require_finite("ramp", [times, seps, tilts])
     if times[0] != 0.0:
         raise DomainError("ramp must start at time 0")
     if len(rows) > 1 and np.any(np.diff(times) <= 0.0):

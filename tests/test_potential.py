@@ -131,6 +131,22 @@ class TestDoubleWell:
         for d in (0.0, 2.0, 4.82):
             assert np.max(np.abs(eval_double_well(d, 0.0, x) - eval_double_well(d, 0.0, -x))) < 1e-14
 
+    @pytest.mark.parametrize("d,f", [(4.82, 0.12), (3.0, -0.16), (0.0, 0.0), (7.3, 0.2)])
+    def test_bitwise_equal_to_two_branch_formula(self, d, f):
+        half = 0.5 * d
+
+        def two_branch(x):
+            return np.where(x < 0.0, 0.5 * (x + half) ** 2, 0.5 * (x - half) ** 2) + f * x
+
+        x = np.concatenate([np.linspace(-9.0, 9.0, 2113), [-0.0, 0.0, -half, half]])
+        got, want = eval_double_well(d, f, x), two_branch(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for point in (-0.0, 0.0, -half, half, -1.3, 2.7):
+            got, want = eval_double_well(d, f, point), float(two_branch(np.float64(point)))
+            assert isinstance(got, float)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             eval_double_well(-1.0, 0.0, 0.0)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
-from atomprep.errors import ConfigurationError, DomainError
+from atomprep import _grid
+from atomprep.errors import ConfigurationError, DomainError, NumericalError
 from atomprep.potential import TrapSpec, eval_double_well, trap_geometry
 from atomprep.resonance import fit_lorentzian
 from atomprep.scattering import scan_spectrum
@@ -174,6 +175,43 @@ class TestPropagate:
         with pytest.raises(ConfigurationError):
             propagate(psi0, 0.5 * grid * grid, 0.01, 0.05)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_non_finite_duration_raises(self, t_final):
+        psi0, grid = _harmonic_ground()
+        with pytest.raises(DomainError, match="t_final"):
+            propagate(psi0, 0.5 * grid * grid, 0.01, t_final)
+
+    @pytest.mark.parametrize("where", ["initial state", "potential", "absorber"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_arrays_raise(self, where, bad):
+        psi0, grid = _harmonic_ground()
+        arrays = {"initial state": psi0.values.copy(), "potential": 0.5 * grid * grid,
+                  "absorber": np.zeros_like(grid)}
+        arrays[where][len(grid) // 2] = bad
+        psi0 = WavePacket(grid=grid, values=arrays["initial state"])
+        with pytest.raises(DomainError, match=where):
+            propagate(psi0, arrays["potential"], 0.01, 1.0, absorber=arrays["absorber"],
+                      min_samples=2)
+
+    def test_driven_potential_turning_non_finite_raises(self):
+        psi0, grid = _harmonic_ground()
+
+        def potential(t):
+            return 0.5 * grid * grid if t < 0.01 else np.full_like(grid, math.nan)
+
+        with pytest.raises(DomainError, match="step 2 of 100"):
+            propagate(psi0, potential, 0.01, 1.0, min_samples=2)
+
+    def test_failed_tridiagonal_solve_raises(self, monkeypatch):
+        psi0, grid = _harmonic_ground()
+
+        def singular(dl, d, du, b, *overwrite):
+            return dl, d, du, b, 3
+
+        monkeypatch.setattr(_grid, "zgtsv", singular)
+        with pytest.raises(NumericalError, match="step 1"):
+            propagate(psi0, lambda t: 0.5 * grid * grid, 0.01, 1.0, min_samples=2)
+
 
 class TestAgainstReferenceLoop:
     def test_static_run_with_absorber(self):
@@ -277,3 +315,16 @@ class TestSplitFidelity:
             split_fidelity([(0.0, 0.0, 0.1), (1.0, 1.0, 0.1), (1.0, 2.0, 0.1)])
         with pytest.raises(DomainError):
             split_fidelity([(0.0, 0.0, 0.1), (1.0, 2.0, 0.1), (2.0, 1.0, 0.1)])
+
+    @pytest.mark.parametrize(
+        "ramp",
+        [
+            [(0.0, 0.0, 0.1), (math.nan, 1.0, 0.1)],
+            [(0.0, 0.0, 0.1), (math.inf, 1.0, 0.1)],
+            [(0.0, 0.0, 0.1), (1.0, math.nan, 0.1)],
+            [(0.0, 0.0, math.nan), (1.0, 1.0, 0.1)],
+        ],
+    )
+    def test_non_finite_ramp_entries_raise(self, ramp):
+        with pytest.raises(DomainError, match="ramp"):
+            split_fidelity(ramp)
