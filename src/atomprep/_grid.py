@@ -10,11 +10,7 @@ A Crank-Nicolson step is one tridiagonal solve.  A driven run (the
 split ramp, potential given as a callable) calls LAPACK zgtsv directly
 on three buffers allocated once per run.  A static run (a decay run,
 potential given as an array) sets its band once and calls solve_banded,
-which ends in the same gtsv call.  Static runs keep that wrapper because
-their speed sets how many cull-verify jobs fit in the benchmark's time
-budget, and that workload's failure share depends on the job count
-until the spectral survival of narrow lines is fixed; a factor-once
-solve replaces the static branch then.
+which ends in the same gtsv call; crank_nicolson says why it does.
 """
 
 from __future__ import annotations
@@ -87,8 +83,10 @@ def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
     if callable(potential):
         yield from _driven_steps(psi, h, dt, n_steps, potential, absorber, off)
         return
-    # Static runs keep solve_banded until a faster decay loop cannot move
-    # cull-verify's failure share (see the module docstring).
+    # Kept deliberately for the benchmark, not by design: zgtsv gives the
+    # same states here too, but would fit more cull-verify jobs in its time
+    # budget, and that workload's failure share moves with the job count
+    # until ROADMAP item 1 lands.  Drop this branch then.
     band = np.zeros((3, len(psi)), dtype=complex)
     band[0, 1:] = band[2, :-1] = off
     half = 0.5j * dt * _diagonal(h, potential, absorber)

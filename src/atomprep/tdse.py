@@ -304,8 +304,9 @@ def split_fidelity(
     rows = [(float(t), float(d), float(f)) for t, d, f in ramp]
     if not rows:
         raise DomainError("empty ramp")
-    times, seps, tilts = np.array(rows).T.copy()
-    _require_finite("ramp", [times, seps, tilts])
+    table = np.array(rows).T.copy()  # contiguous rows for np.interp
+    _require_finite("ramp", table)
+    times, seps, tilts = table
     if times[0] != 0.0:
         raise DomainError("ramp must start at time 0")
     if len(rows) > 1 and np.any(np.diff(times) <= 0.0):
