@@ -7,7 +7,10 @@ same parameter count is fit on the same window for lineshape
 comparison.  The fit runs in peak-scaled coordinates, energies measured
 in units of the initial width estimate and responses relative to the
 peak value, so conditioning is independent of how narrow the resonance
-is.
+is.  Both fits run MINPACK's Levenberg-Marquardt (lmdif) through
+scipy.optimize.leastsq, with no covariance estimate: only the parameters
+are used.  A fit that does not converge, or a window with a non-finite
+sample, raises NumericalError.
 
 An independent width estimate comes from the matching-phase slope:
 a Breit-Wigner phase obeys theta(E0 + h) - theta(E0 - h) =
@@ -25,12 +28,11 @@ two is a cross-check of the decay law, not a fit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import OptimizeWarning, curve_fit
+from scipy.optimize import leastsq
 
 from . import scattering
 from .errors import DomainError, NumericalError, WidthUnresolvedError
@@ -144,14 +146,21 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
 
 
 def _fit(shape, xi, q, width0):
-    """Fit shape in peak-scaled coordinates: parameters and relative residual."""
+    """Fit shape in peak-scaled coordinates: parameters and relative residual.
 
+    A non-finite window or a fit that does not converge raises
+    NumericalError.
+    """
+
+    if not (np.isfinite(xi).all() and np.isfinite(q).all()):
+        raise NumericalError("non-finite sample in the fit window")
     b0 = float(np.min(q))
-    # near-degenerate covariance is expected for clean synthetic-like peaks;
-    # only the parameter vector is used
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OptimizeWarning)
-        p, _ = curve_fit(shape, xi, q, p0=(1.0 - b0, 0.0, width0, b0), maxfev=20000)
+    p, ier = leastsq(lambda params: shape(xi, *params) - q, (1.0 - b0, 0.0, width0, b0),
+                     maxfev=20000)
+    if ier not in (1, 2, 3, 4):
+        raise NumericalError(
+            f"{shape.__name__.lstrip('_')} fit did not converge (MINPACK info {ier})"
+        )
     return p, float(np.sqrt(np.mean((shape(xi, *p) - q) ** 2))) / abs(p[0])
 
 

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from pytest import approx
 
-from atomprep import culling
+from atomprep import culling, resonance
 from atomprep.culling import (
     CullingPoint,
     FidelityMap,
@@ -235,6 +236,13 @@ class TestFidelityMap:
         assert "resolution floor" in cell.note
         assert [c.note is not None for c in mixed_map.cells] == [
             c.status == STATUS_ERROR for c in mixed_map.cells]
+
+    def test_unconverged_fit_becomes_an_error_cell(self, monkeypatch):
+        monkeypatch.setattr(resonance, "leastsq", lambda *a, **k: (np.ones(4), 5))
+        m = fidelity_map((4.6, 4.6), (0.5, 0.5), 1, 1)
+        cell = m.cells[0]
+        assert cell.status == STATUS_ERROR and cell.point is None
+        assert cell.note.startswith("NumericalError: lorentz fit did not converge")
 
     def test_unexpected_exception_aborts_the_sweep(self, monkeypatch):
         # only culling_point's documented failures become error cells

@@ -3,17 +3,20 @@
 The Lorentzian fitter is exercised on a hand-built spectrum sampled from
 an exact Lorentzian (recovery to 1e-6), on the reference trap (residual
 ordering, phase-slope agreement), and against the time-domain decay
-oracle.  Survival checks compare the spectral transform with the closed
+oracle; the fits themselves equal scipy's curve_fit bit for bit.
+Survival checks compare the spectral transform with the closed
 exponential at several times and document the Fourier truncation bound.
 """
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning, curve_fit
 
-from atomprep import scattering
+from atomprep import resonance, scattering
 from atomprep.errors import DomainError, NumericalError, WidthUnresolvedError
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.resonance import (
@@ -106,6 +109,46 @@ class TestFitLorentzian:
         mask = (run.times >= 0.1 * excited_res.tau) & (run.times <= 2.0 * excited_res.tau)
         slope = -np.polyfit(run.times[mask], np.log(run.survival[mask]), 1)[0]
         assert slope == pytest.approx(excited_res.gamma, rel=0.05)
+
+
+class TestFitAgainstCurveFit:
+    """_fit calls MINPACK through leastsq; curve_fit is the reference."""
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_fits_equal_curve_fit_bit_for_bit(self, fig_spectrum, index, monkeypatch):
+        # the two Lorentzian windows and the Gaussian one of each FIG peak
+        calls = []
+        fit = resonance._fit
+
+        def recorded(shape, xi, q, width0):
+            calls.append((shape, xi, q, width0))
+            return fit(shape, xi, q, width0)
+
+        monkeypatch.setattr(resonance, "_fit", recorded)
+        fit_lorentzian(fig_spectrum, index)
+        assert [c[0] for c in calls] == [resonance._lorentz] * 2 + [resonance._gauss]
+        for shape, xi, q, width0 in calls:
+            p, residual = fit(shape, xi, q, width0)
+            b0 = float(np.min(q))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", OptimizeWarning)
+                want, _ = curve_fit(shape, xi, q, p0=(1.0 - b0, 0.0, width0, b0),
+                                    maxfev=20000)
+            assert p.tobytes() == want.tobytes(), shape.__name__
+            assert residual == float(np.sqrt(np.mean((shape(xi, *want) - q) ** 2))) / abs(want[0])
+
+    def test_unconverged_fit_raises(self, fig_spectrum, monkeypatch):
+        monkeypatch.setattr(resonance, "leastsq", lambda *a, **k: (np.ones(4), 5))
+        with pytest.raises(NumericalError, match=r"lorentz fit did not converge \(MINPACK info 5\)"):
+            fit_lorentzian(fig_spectrum, 0)
+
+    def test_non_finite_window_raises(self):
+        sp = _synthetic_lorentzian()
+        log_r = sp.log_responses.copy()
+        log_r[1000] = math.nan  # the peak sample, inside every fit window
+        bad = Spectrum(sp.trap, sp.energies, np.exp(log_r), log_r, sp.phases, sp.peaks)
+        with pytest.raises(NumericalError, match="non-finite sample in the fit window"):
+            fit_lorentzian(bad, 0)
 
 
 class TestEstimatorAgreementGrid:

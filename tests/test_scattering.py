@@ -15,8 +15,10 @@ from scipy.optimize import brentq
 
 from atomprep.culling import scan_window
 from atomprep.errors import DomainError
+from atomprep import scattering
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.scattering import (
+    _FLOAT_PATH_MAX,
     PHASE_JUMP,
     RESOLUTION_FLOOR,
     _bisect,
@@ -136,6 +138,53 @@ class TestMatchAmplitude:
     def test_array_error_names_first_bad_energy(self):
         with pytest.raises(DomainError, match="energy -0.1 outside"):
             match_amplitude(FIG, np.array([0.5, -0.1, -0.2]))
+
+    @pytest.mark.parametrize("n", range(1, _FLOAT_PATH_MAX + 3))
+    def test_small_arrays_equal_the_full_array_call_bit_for_bit(self, n, monkeypatch):
+        # arrays of at most _FLOAT_PATH_MAX energies run element by element
+        # on the float path; windows straddle the barrier top, so both Airy
+        # branches show up at every size
+        top = trap_geometry(FIG).edge_height
+        energies = np.linspace(top - 0.6, top + 0.6, 50)
+        full = match_amplitude(FIG, energies)
+        kernel_calls = []
+        kernel = scattering._match
+
+        def counted(spec, energy):
+            kernel_calls.append(np.ndim(energy))
+            return kernel(spec, energy)
+
+        monkeypatch.setattr(scattering, "_match", counted)
+        for start in range(0, 50 - n + 1, 7):
+            kernel_calls.clear()
+            window = energies[start:start + n].copy()
+            small = match_amplitude(FIG, window)
+            assert kernel_calls == ([0] * n if n <= _FLOAT_PATH_MAX else [1])
+            assert small.energy is window
+            for name in ("ai_coeff", "bi_coeff", "interior_amplitude", "phase",
+                         "log_response"):
+                got, want = getattr(small, name), getattr(full, name)[start:start + n]
+                assert got.dtype == want.dtype and got.shape == (n,), name
+                assert got.tobytes() == want.tobytes(), (name, start)
+
+    def test_small_array_keeps_its_shape(self):
+        grid = np.array([[0.3, 0.4], [1.3, 1.4]])
+        small = match_amplitude(FIG, grid)
+        full = match_amplitude(FIG, np.linspace(0.3, 1.4, 12))
+        assert small.phase.shape == (2, 2)
+        assert small.phase[1, 1] == full.phase[-1]
+
+    @pytest.mark.parametrize("n", range(2, _FLOAT_PATH_MAX + 3))
+    def test_small_array_error_names_first_bad_energy(self, n):
+        window = np.linspace(0.3, 1.4, n)
+        window[(n - 1) // 2], window[-1] = -0.1, -0.2
+        with pytest.raises(DomainError, match="energy -0.1 outside"):
+            match_amplitude(FIG, window)
+        # above the shelf size^2/8 = 2.42 but inside the matching window:
+        # the interior solver's check names the first such energy
+        window[(n - 1) // 2], window[-1] = 3.0, 4.0
+        with pytest.raises(DomainError, match="energy 3 not finite or at or above"):
+            match_amplitude(FIG, window)
 
     def test_exterior_wave_rejects_interior_points(self):
         m = match_amplitude(FIG, 0.7)
