@@ -6,16 +6,21 @@ beyond each end node (hard walls).  Grid integrals use trapezoid
 weights.  Callers pass the spacing: the split levels use their grid
 spec's nominal spacing, propagation the first node difference.
 
-A Crank-Nicolson step is one tridiagonal solve.  A driven run (the
-split ramp, potential given as a callable) calls LAPACK zgtsv directly
-on three buffers allocated once per run.  A static run (a decay run,
-potential given as an array) sets its band once and calls solve_banded,
-which ends in the same gtsv call; crank_nicolson says why it does.
+A Crank-Nicolson step solves A psi' = B psi with A = 1 + i dt H/2 and
+B = 1 - i dt H/2.  A driven run (the split ramp) takes its potential as
+a Drive: fixed profiles on the grid times per-step weights, all checked
+before the first step.  Since A + B = 2, psi' = A^-1 B psi = 2 chi - psi
+with A chi = psi, so a step is one dot product for A's diagonal, one
+LAPACK zgtsv call on buffers allocated once per run, and 2 chi - psi.
+A static run (a decay run, potential given as an array) sets its band
+once and calls solve_banded, which ends in the same gtsv call;
+crank_nicolson says why it does.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -23,6 +28,19 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.linalg.lapack import zgtsv
 
 from .errors import ConfigurationError, DomainError, NumericalError
+
+
+@dataclass(frozen=True)
+class Drive:
+    """A time-dependent potential V(t) = weights(t) @ profiles.
+
+    profiles is an (m, n) array of fixed potentials on the n grid nodes;
+    weights maps an array of k times to the (k, m) array of their
+    weights.
+    """
+
+    profiles: np.ndarray
+    weights: Callable[[np.ndarray], np.ndarray]
 
 
 def integral(grid: np.ndarray, h: float, values: np.ndarray, bounds: tuple | None = None):
@@ -70,17 +88,19 @@ def lowest_levels(grid: np.ndarray, h: float, v: np.ndarray, n_states: int):
 
 
 def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
-                   potential: Callable[[float], np.ndarray] | np.ndarray,
+                   potential: Drive | np.ndarray,
                    absorber: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Yield psi after each of n_steps Crank-Nicolson steps.
 
     Each step solves (1 + i dt H/2) psi' = (1 - i dt H/2) psi.  potential
-    is an array, or a callable t -> array taken at each step's midpoint;
-    a callable's values that are not finite raise DomainError naming the
-    step.  The caller checks psi, an array potential and the absorber.
+    is an array, or a Drive taken at each step's midpoint.  A Drive's
+    weights are checked before the first step: a table of the wrong
+    shape raises ConfigurationError, and non-finite weights DomainError
+    naming the first bad step.  The caller checks psi, an array
+    potential, a Drive's profiles and the absorber.
     """
     off = 0.5j * dt * _off_diagonal(h)
-    if callable(potential):
+    if isinstance(potential, Drive):
         yield from _driven_steps(psi, h, dt, n_steps, potential, absorber, off)
         return
     # Kept deliberately for the benchmark, not by design: zgtsv gives the
@@ -97,24 +117,45 @@ def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
         yield psi
 
 
-def _driven_steps(psi, h, dt, n_steps, potential, absorber, off):
-    """Driven steps through zgtsv on reused, overwritten buffers."""
-    diag = np.empty(len(psi), dtype=complex)
+def _driven_steps(psi, h, dt, n_steps, drive, absorber, off):
+    """Driven steps psi' = 2 chi - psi, with A chi = psi solved by zgtsv.
+
+    The weights of every step are checked before the first one.
+    """
+    m, n = len(drive.profiles), len(psi)
+    weights = np.asarray(drive.weights((np.arange(n_steps) + 0.5) * dt), dtype=float)
+    if weights.shape != (n_steps, m):
+        raise ConfigurationError(f"drive weights have shape {weights.shape}, not {(n_steps, m)}")
+    finite = np.isfinite(weights).all(axis=1)
+    if not finite.all():
+        raise DomainError(
+            f"drive weights are not finite at step {int(np.argmin(finite)) + 1} of {n_steps}"
+        )
+    table = np.ones((n_steps, m + 1))
+    table[:, :m] = weights
+    # A's diagonal is written by one dot per step straight into its complex
+    # buffer, read as interleaved (real, imaginary) floats.  The profiles,
+    # scaled by dt/2, fill the imaginary slots; a last row of weight 1
+    # holds the real part, 1 + dt W/2, and the kinetic dt/(2h^2).
+    rows = np.zeros((m + 1, n, 2))
+    rows[:m, :, 1] = 0.5 * dt * np.asarray(drive.profiles, dtype=float)
+    rows[m, :, 0] = 1.0 if absorber is None else 1.0 + 0.5 * dt * absorber
+    rows[m, :, 1] = 0.5 * dt / (h * h)
+    rows = rows.reshape(m + 1, 2 * n)
+    diag = np.empty(n, dtype=complex)
     lower, upper = np.empty_like(diag[1:]), np.empty_like(diag[1:])
     for k in range(n_steps):
-        v = potential((k + 0.5) * dt)
-        if not np.isfinite(v).all():
-            raise DomainError(f"potential is not finite at step {k + 1} of {n_steps}")
-        half = 0.5j * dt * _diagonal(h, v, absorber)
-        np.add(1.0, half, out=diag)
+        np.dot(table[k], rows, out=diag.view(float))
         # gtsv overwrites all three diagonals, and the right-hand side
         # with the solution.
         lower.fill(off)
         upper.fill(off)
-        *_, psi, info = zgtsv(lower, diag, upper, _explicit_product(1.0 - half, off, psi),
-                              1, 1, 1, 1)
+        *_, chi, info = zgtsv(lower, diag, upper, psi.copy(), 1, 1, 1, 1)
         if info:
             raise NumericalError(f"tridiagonal solve failed at step {k + 1} (info {info})")
+        chi *= 2.0
+        chi -= psi
+        psi = chi
         yield psi
 
 

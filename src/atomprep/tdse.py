@@ -6,7 +6,11 @@ edges and renormalized), propagates it with the Crank-Nicolson stepper
 of the shared grid Hamiltonian (`_grid`: three-point kinetic stencil,
 hard-wall boundaries), and records the probability remaining inside the
 trap.  The same stepper drives the time-dependent double well for
-splitting ramps, where the split levels come from the same stencil.
+splitting ramps, where the split levels come from the same stencil.  A
+time-dependent potential is a Drive: fixed profiles on the grid times
+weights per step.  The split's double well is affine in the profiles
+x^2/2, |x|, x and 1, with weights (1, -d/2, f, d^2/8) interpolated from
+the ramp at every step midpoint at once.
 
 Crank-Nicolson is unconditionally stable and exactly norm-preserving
 for Hermitian Hamiltonians, so deviations from unitarity measure
@@ -27,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _grid, splitting
+from ._grid import Drive
 from .errors import ConfigurationError, DomainError, NumericalError
 from .potential import TrapSpec, eval_double_well, eval_trap
 from .resonance import Resonance
@@ -154,7 +159,7 @@ def _require_finite(name: str, values: np.ndarray) -> None:
 
 def propagate(
     psi0: WavePacket,
-    potential: Callable[[float], np.ndarray] | np.ndarray,
+    potential: Drive | np.ndarray,
     dt: float,
     t_final: float,
     absorber: np.ndarray | None = None,
@@ -163,13 +168,16 @@ def propagate(
 ) -> PropagationResult:
     """Crank-Nicolson propagation with optional absorber.
 
-    potential is either a static array on psi0's grid or a callable
-    t -> array; time-dependent potentials are evaluated at midpoints
-    t + dt/2.  Survival is the weighted norm over survival_bounds (the
-    full grid when None), sampled at at least min_samples times.  dt
-    must not exceed MAX_DT.  A non-finite t_final, or non-finite values
-    in psi0, the potential or the absorber, raise DomainError.  Without
-    an absorber, norm growth beyond 1e-6 aborts with a numerical-failure
+    potential is either a static array on psi0's grid or a Drive, whose
+    (m, n) profiles sit on that grid and whose weights are taken at the
+    step midpoints t + dt/2; any other kind, a callable among them,
+    raises ConfigurationError.  Survival is the weighted norm over
+    survival_bounds (the full grid when None), sampled at at least
+    min_samples times.  dt must not exceed MAX_DT.  All inputs are
+    checked before the first step: a non-finite t_final, or non-finite
+    values in psi0, the potential, a Drive's profiles or weights, or the
+    absorber raise DomainError (a weight names its step).  Without an
+    absorber, norm growth beyond 1e-6 aborts with a numerical-failure
     error.
     """
 
@@ -180,11 +188,20 @@ def propagate(
     grid = psi0.grid
     h = psi0.spacing
     _require_finite("initial state", psi0.values)
-    if not callable(potential):
+    if isinstance(potential, Drive):
+        profiles = np.asarray(potential.profiles, dtype=float)
+        if profiles.ndim != 2 or profiles.shape[1:] != grid.shape:
+            raise ConfigurationError("drive profiles do not match the grid")
+        _require_finite("drive profiles", profiles)
+    elif isinstance(potential, np.ndarray):
         potential = np.asarray(potential, dtype=float)
         if potential.shape != grid.shape:
             raise ConfigurationError("potential array does not match the grid")
         _require_finite("potential", potential)
+    else:
+        raise ConfigurationError(
+            f"potential must be an array or a Drive, not {type(potential).__name__}"
+        )
     if absorber is not None:
         absorber = np.asarray(absorber, dtype=float)
         _require_finite("absorber", absorber)
@@ -323,12 +340,25 @@ def split_fidelity(
     target = splitting.solve_double_well(seps[-1], tilts[-1], 1, grid_spec)
     grid = start.grid
     psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
-
-    def pot(t: float) -> np.ndarray:
-        d = float(np.interp(t, times, seps))
-        f = float(np.interp(t, times, tilts))
-        return eval_double_well(d, f, grid)
-
-    out = propagate(psi0, pot, dt, float(times[-1]), min_samples=2)
+    drive = _split_drive(times, seps, tilts, grid)
+    out = propagate(psi0, drive, dt, float(times[-1]), min_samples=2)
     ghost = WavePacket(grid=grid, values=target.wavefunctions[0].astype(complex))
     return float(abs(ghost.overlap(out.final_state)) ** 2)
+
+
+def _split_drive(times, seps, tilts, grid: np.ndarray) -> Drive:
+    """The ramp's double well as a Drive.
+
+    V = (|x| - d/2)^2 / 2 + f x = x^2/2 - (d/2)|x| + f x + d^2/8, so the
+    profiles are x^2/2, |x|, x and 1, and the weights (1, -d/2, f, d^2/8)
+    come from one np.interp of each ramp column over all times.
+    """
+    profiles = np.array([eval_double_well(0.0, 0.0, grid), np.abs(grid), grid,
+                         np.ones_like(grid)])
+
+    def weights(t: np.ndarray) -> np.ndarray:
+        half = 0.5 * np.interp(t, times, seps)
+        return np.column_stack([np.ones_like(half), -half, np.interp(t, times, tilts),
+                                0.5 * half * half])
+
+    return Drive(profiles, weights)

@@ -21,7 +21,9 @@ from atomprep.scattering import scan_spectrum
 from atomprep.splitting import GridSpec, default_grid, solve_double_well
 from atomprep.tdse import (
     MAX_DT,
+    Drive,
     WavePacket,
+    _split_drive,
     absorber_reflection,
     decay_run,
     downhill_absorber,
@@ -79,6 +81,17 @@ def _reference_levels(separation, tilt, n_states, spec):
         if np.trapezoid(row, x) < 0.0:
             row *= -1.0
     return energies, waves
+
+
+def _short_ramp(separation, tilt, duration=40.0):
+    """Smoothstep separation ramp with the tilt rising from tilt/2, on 9 knots."""
+    return [(duration * s, separation * s * s * (3.0 - 2.0 * s), tilt * (0.5 + 0.5 * s))
+            for s in np.linspace(0.0, 1.0, 9)]
+
+
+def _harmonic_drive(grid, weights):
+    """Drive of the single profile x^2/2 with the given weight function."""
+    return Drive((0.5 * grid * grid)[np.newaxis], weights)
 
 
 def _harmonic_ground(half_width=8.0, spacing=0.02):
@@ -193,14 +206,15 @@ class TestPropagate:
             propagate(psi0, arrays["potential"], 0.01, 1.0, absorber=arrays["absorber"],
                       min_samples=2)
 
-    def test_driven_potential_turning_non_finite_raises(self):
+    def test_driven_potential_turning_non_finite_raises(self, monkeypatch):
+        # the weights are checked for every step before the first one runs
         psi0, grid = _harmonic_ground()
-
-        def potential(t):
-            return 0.5 * grid * grid if t < 0.01 else np.full_like(grid, math.nan)
-
+        solves = []
+        monkeypatch.setattr(_grid, "zgtsv", lambda *args: solves.append(args))
+        drive = _harmonic_drive(grid, lambda t: np.where(t < 0.01, 1.0, math.nan)[:, None])
         with pytest.raises(DomainError, match="step 2 of 100"):
-            propagate(psi0, potential, 0.01, 1.0, min_samples=2)
+            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
+        assert solves == []
 
     def test_failed_tridiagonal_solve_raises(self, monkeypatch):
         psi0, grid = _harmonic_ground()
@@ -209,7 +223,37 @@ class TestPropagate:
             return dl, d, du, b, 3
 
         monkeypatch.setattr(_grid, "zgtsv", singular)
+        drive = _harmonic_drive(grid, lambda t: np.ones((len(t), 1)))
         with pytest.raises(NumericalError, match="step 1"):
+            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
+
+    @pytest.mark.parametrize("shape", ["short rows", "one row, flat"])
+    def test_drive_profiles_must_match_grid(self, shape):
+        psi0, grid = _harmonic_ground()
+        profiles = {"short rows": np.zeros((2, len(grid) - 1)),
+                    "one row, flat": 0.5 * grid * grid}[shape]
+        drive = Drive(profiles, lambda t: np.ones((len(t), 1)))
+        with pytest.raises(ConfigurationError, match="profiles"):
+            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
+
+    def test_drive_weights_must_have_one_column_per_profile(self):
+        psi0, grid = _harmonic_ground()
+        drive = _harmonic_drive(grid, lambda t: np.ones((len(t), 2)))
+        with pytest.raises(ConfigurationError, match="weights have shape"):
+            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_drive_profiles_raise(self, bad):
+        psi0, grid = _harmonic_ground()
+        profiles = np.array([0.5 * grid * grid, grid])
+        profiles[1, len(grid) // 2] = bad
+        drive = Drive(profiles, lambda t: np.ones((len(t), 2)))
+        with pytest.raises(DomainError, match="drive profiles"):
+            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
+
+    def test_callable_potential_raises(self):
+        psi0, grid = _harmonic_ground()
+        with pytest.raises(ConfigurationError, match="array or a Drive"):
             propagate(psi0, lambda t: 0.5 * grid * grid, 0.01, 1.0, min_samples=2)
 
 
@@ -226,16 +270,44 @@ class TestAgainstReferenceLoop:
         assert run.final_state.norm < 0.5 * psi0.norm
 
     def test_driven_double_well_run(self):
+        # The drive's affine diagonal and the 2 chi - psi step round
+        # differently from the reference's per-step potential and explicit
+        # right-hand side: max |psi - psi_ref| is 3.1e-13 here (|psi| up to
+        # 0.65), against the 2e-12 asserted.
         start = solve_double_well(0.0, 0.12, 1, default_grid(3.0, 0.12, 0.01))
         grid = start.grid
         psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
+        drive = _split_drive(np.array([0.0, 1.0]), np.array([0.0, 3.0]),
+                             np.array([0.12, 0.12]), grid)
 
         def potential(t):
             return eval_double_well(3.0 * t, 0.12, grid)
 
-        run = propagate(psi0, potential, 0.005, 1.0, min_samples=2)
+        run = propagate(psi0, drive, 0.005, 1.0, min_samples=2)
         want = _reference_propagate(psi0, potential, 0.005, 1.0)
-        assert np.array_equal(run.final_state.values, want)
+        assert np.max(np.abs(run.final_state.values - want)) <= 2e-12
+
+    def test_driven_run_with_absorber(self):
+        # the absorber sits in the real part of the drive's diagonal;
+        # max |psi - psi_ref| is 3.6e-14 here (|psi| up to 0.35)
+        grid = uniform_grid(-20.0, 8.0)
+        psi0 = WavePacket(grid=grid, values=np.exp(-((grid + 15.0) ** 2) - 4j * grid))
+        cap = downhill_absorber(grid, 0.0)
+        drive = Drive(grid[np.newaxis], lambda t: (0.5 + t)[:, np.newaxis])
+        run = propagate(psi0, drive, 0.004, 0.8, absorber=cap, min_samples=2)
+        want = _reference_propagate(psi0, lambda t: (0.5 + t) * grid, 0.004, 0.8, absorber=cap)
+        assert np.max(np.abs(run.final_state.values - want)) <= 1e-12
+        assert run.final_state.norm < 0.5 * psi0.norm
+
+    def test_driven_norm_conserved_over_ten_thousand_steps(self):
+        # measured drift: 1.2e-14
+        start = solve_double_well(0.0, 0.12, 1, default_grid(3.0, 0.12, 0.02))
+        grid = start.grid
+        psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
+        drive = _split_drive(np.array([0.0, 50.0]), np.array([0.0, 3.0]),
+                             np.array([0.12, 0.12]), grid)
+        run = propagate(psi0, drive, 0.005, 50.0, min_samples=2)
+        assert abs(run.final_state.norm - psi0.norm) <= 1e-12
 
     @pytest.mark.parametrize(
         "separation,tilt,spec",
@@ -296,7 +368,46 @@ class TestConvergence:
         assert abs(coarse.survival[-1] - fine.survival[-1]) <= 1e-6
 
 
+class TestSplitDrive:
+    @pytest.mark.parametrize("separation,tilt", [(4.82, 0.12), (5.0, 0.14)])
+    def test_weights_equal_scalar_interpolation(self, separation, tilt):
+        times, seps, tilts = np.array(_short_ramp(separation, tilt)).T.copy()
+        grid = default_grid(separation, tilt, spacing=0.01).points()
+        midpoints = (np.arange(2000) + 0.5) * 0.02
+        got = _split_drive(times, seps, tilts, grid).weights(midpoints)
+        for t, row in zip(midpoints, got):
+            half = 0.5 * float(np.interp(t, times, seps))
+            f = float(np.interp(t, times, tilts))
+            assert row.tolist() == [1.0, -half, f, 0.5 * half * half]
+
+    @pytest.mark.parametrize("separation,tilt", [(4.82, 0.12), (5.0, 0.14)])
+    def test_profiles_times_weights_equal_the_double_well(self, separation, tilt):
+        # On the split's grid (|x| <= 10.63, V < 58) the affine sum rounds
+        # differently from eval_double_well: 2.1e-14 at most on both ramps,
+        # against the 1e-12 asserted.
+        times, seps, tilts = np.array(_short_ramp(separation, tilt)).T.copy()
+        grid = default_grid(separation, tilt, spacing=0.01).points()
+        midpoints = (np.arange(2000) + 0.5) * 0.02
+        drive = _split_drive(times, seps, tilts, grid)
+        affine = drive.weights(midpoints) @ drive.profiles
+        for t, row in zip(midpoints, affine):
+            want = eval_double_well(float(np.interp(t, times, seps)),
+                                    float(np.interp(t, times, tilts)), grid)
+            assert np.max(np.abs(row - want)) <= 1e-12
+
+
 class TestSplitFidelity:
+    @pytest.mark.parametrize(
+        "separation,tilt,infidelity",
+        # recorded with the per-step potential and explicit right-hand side
+        # the drive replaced; 2000 steps each
+        [(4.82, 0.12, 0.05144527561285728), (5.0, 0.14, 0.041292745843514944)],
+    )
+    def test_short_ramps_pinned(self, separation, tilt, infidelity):
+        fid = split_fidelity(_short_ramp(separation, tilt), dt=0.02)
+        assert 1.0 - fid == pytest.approx(infidelity, rel=1e-8, abs=0.0)
+
+
     def test_zero_duration_identity(self):
         assert split_fidelity([(0.0, 0.0, 0.12)]) >= 1.0 - 1e-8
 
