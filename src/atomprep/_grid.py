@@ -15,6 +15,17 @@ LAPACK zgtsv call on buffers allocated once per run, and 2 chi - psi.
 A static run (a decay run, potential given as an array) sets its band
 once and calls solve_banded, which ends in the same gtsv call;
 crank_nicolson says why it does.
+
+The lowest real levels cost a few tridiagonal solves each.  Since the
+kinetic part is positive definite, min V lies below every level; a
+start block iterated at that shift gives one start per state, and each
+state is refined by shift-invert Rayleigh-quotient iteration with the
+states below it deflated, until its residual is at most _RESIDUAL
+eps |H|.  One Sturm count (dstebz) then certifies the indices: exactly
+n_states levels may lie at or below the top one found.  A level that
+cannot be certified raises NumericalError; none is returned unchecked.
+The iteration's products are unconjugated, so the same kernel takes a
+complex diagonal and shift.
 """
 
 from __future__ import annotations
@@ -24,10 +35,22 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, zgtsv
 
 from .errors import ConfigurationError, DomainError, NumericalError
+
+# Level iteration (lowest_levels).  A converged state's residual
+# |H x - rho x| was measured at most 7.3 eps |H| over 228 shapes at
+# spacings 0.02, 0.01 and 0.0015; the stopping bound leaves twice that.
+_RESIDUAL = 16.0
+# Inverse-iteration steps on the start block before Rayleigh-Ritz.
+_BLOCK_STEPS = 4
+# Rayleigh-quotient steps allowed per state (1 or 2 are usual; 7 the most
+# seen in 1,036 solves: 518 shapes, one and two states each).
+_RQI_STEPS = 20
+# A state's sign is that of its first lobe reaching this fraction of its peak.
+_LOBE = 0.1
 
 
 @dataclass(frozen=True)
@@ -69,22 +92,132 @@ def _off_diagonal(h: float) -> float:
     return -0.5 / (h * h)
 
 
-def lowest_levels(grid: np.ndarray, h: float, v: np.ndarray, n_states: int):
-    """Lowest n_states eigenpairs of H with W = 0, one state per row.
+def lowest_levels(h: float, v: np.ndarray, n_states: int):
+    """Lowest n_states eigenpairs of H with W = 0 on the nodes of v, one
+    state per row.
+
+    The kinetic part of the stencil is positive definite, so min V lies
+    below every level.  A few inverse-iteration steps at that shift on
+    n_states + 1 polynomial columns, then Rayleigh-Ritz, give one start
+    per state; each state is then found by Rayleigh-quotient iteration
+    (_rayleigh_iteration), deflating the states found before it, until
+    its residual is at most _RESIDUAL eps |H|.  One Sturm count then
+    certifies the indices: the number of levels at or below the top
+    found level (plus the residual margin) must be exactly n_states.
+    If it is larger, a level was skipped, and the spare start is
+    refined too; if the count still disagrees, or an iteration does not
+    converge, NumericalError is raised.
 
     States are normalized to sum h |psi|^2 = 1 and signed so that their
-    integral is positive.
+    first lobe, from the left, reaching _LOBE of the state's peak is
+    positive: the integral of an odd state is round-off, its first lobe
+    is not.
     """
-    off = np.full(len(grid) - 1, _off_diagonal(h))
-    energies, vecs = eigh_tridiagonal(
-        _diagonal(h, v), off, select="i", select_range=(0, n_states - 1)
-    )
-    # LAPACK returns unit l2 columns; rescale to the grid inner product.
-    states = (vecs / math.sqrt(h)).T.copy()
+    diag = _diagonal(h, v)
+    off = _off_diagonal(h)
+    lower = float(np.min(v))
+    tol = _RESIDUAL * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * abs(off))
+    values, starts = _start_block(diag, off, lower, min(n_states + 1, len(diag)))
+    energies, vectors = [], []
+    for value, start in zip(values, starts.T):
+        energy, vector = _rayleigh_iteration(diag, off, value, start, vectors, tol)
+        energies.append(energy)
+        vectors.append(vector)
+        if len(vectors) < n_states:
+            continue
+        keep = np.argsort(energies)[:n_states]
+        top = energies[keep[-1]]
+        count = _count_at_most(diag, off, lower, top + n_states * tol)
+        if count == n_states:
+            break
+    else:
+        raise NumericalError(
+            f"{count} levels lie at or below {top:.12g}, the top of the "
+            f"{n_states} found: the lowest levels are not certified"
+        )
+    states = np.array(vectors)[keep] / math.sqrt(h)
     for row in states:
-        if integral(grid, h, row) < 0.0:
+        mag = np.abs(row)
+        if row[np.argmax(mag >= _LOBE * mag.max())] < 0.0:
             row *= -1.0
-    return energies, states
+    return np.array(energies)[keep], states
+
+
+def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
+    """H x for a vector or for each column of a block."""
+    y = (diag * x.T).T
+    y[1:] += off * x[:-1]
+    y[:-1] += off * x[1:]
+    return y
+
+
+def _start_block(diag: np.ndarray, off: float, shift: float, width: int):
+    """Ritz values, ascending, and Ritz vectors (columns) of H on a
+    subspace of width columns.
+
+    The columns 1, t, t^2, ... (t the node index mapped onto [-1, 1], so
+    both parities start present) take _BLOCK_STEPS inverse-iteration
+    steps at the shift, then one orthonormal basis and its Rayleigh-Ritz
+    rotation.  The shift must lie below every level: H - shift is then
+    positive definite and factored once by dpttrf.
+    """
+    *factors, info = dpttrf(diag - shift, np.full(len(diag) - 1, off))
+    if info:
+        raise NumericalError(f"H - {shift:g} is not positive definite (dpttrf info {info})")
+    t = np.linspace(-1.0, 1.0, len(diag))
+    block = np.array([t**j for j in range(width)]).T
+    for _ in range(_BLOCK_STEPS):
+        block, info = dpttrs(*factors, block)
+        if info:
+            raise NumericalError(f"dpttrs failed (info {info})")
+    basis = np.linalg.qr(block)[0]
+    values, rotation = np.linalg.eigh(basis.T @ _apply(diag, off, basis))
+    return values, basis @ rotation
+
+
+def _rayleigh_iteration(diag: np.ndarray, off: float, shift, x: np.ndarray,
+                        found: list, tol: float):
+    """Eigenpair of H by shift-invert Rayleigh-quotient iteration.
+
+    A step solves (H - shift) y = x by gtsv, removes the found states
+    from y and normalizes it; its Rayleigh quotient is the next shift.
+    The iteration stops once |H x - shift x| <= tol and raises
+    NumericalError after _RQI_STEPS steps without.  The products are
+    unconjugated (x.x, x.Hx), which is the Rayleigh quotient of a real
+    symmetric H and of a complex symmetric one alike, so a complex
+    diagonal or shift takes the same steps through zgtsv.
+    """
+    a = diag - shift
+    gtsv, = get_lapack_funcs(("gtsv",), (a, x))
+    for _ in range(_RQI_STEPS):
+        band = np.full(len(a) - 1, off, dtype=a.dtype)
+        # gtsv overwrites all three diagonals, and x with the solution.
+        *_, x, info = gtsv(band, a, band.copy(), x, 1, 1, 1, 1)
+        if info:
+            raise NumericalError(f"H - {shift:g} is singular (gtsv info {info})")
+        for q in found:
+            x -= np.dot(q, x) * q
+        x /= np.sqrt(np.dot(x, x))
+        hx = _apply(diag, off, x)
+        shift = np.dot(x, hx)
+        hx -= shift * x
+        if np.linalg.norm(hx) <= tol:
+            return shift, x
+        a = diag - shift
+    raise NumericalError(f"Rayleigh-quotient iteration did not converge in {_RQI_STEPS} steps")
+
+
+def _count_at_most(diag: np.ndarray, off: float, lower: float, value: float) -> int:
+    """Number of eigenvalues of H at or below value, none being below lower.
+
+    dstebz over (lower - 1, value] with a tolerance too wide to bisect
+    returns just the Sturm count of that interval.
+    """
+    count, *_, info = dstebz(diag, np.full(len(diag) - 1, off), 1, lower - 1.0, value,
+                             0, 0, math.inf, "E")
+    if info:
+        raise NumericalError(f"Sturm count failed (dstebz info {info})")
+    return int(count)
 
 
 def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,

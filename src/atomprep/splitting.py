@@ -11,6 +11,13 @@ widest-gap path search across that survey, and a ramp generator that
 spends time where the gap is smallest (local adiabaticity, speed
 proportional to gap^2).
 
+The levels come from `_grid.lowest_levels`: Rayleigh-quotient iteration
+per state, with one Sturm count certifying that the states found are
+the lowest ones; a level it cannot certify raises NumericalError, so a
+survey never holds a wrong level.  The walls stand GRID_MARGIN = 6.5
+oscillator lengths beyond the minima; the comment at GRID_MARGIN gives
+the measured wall sensitivity.
+
 Only one tilt sign is treated; the mirror problem (opposite
 field-seeking state) is the reflection x -> -x, tilt -> -tilt of this
 one and is not solved separately.
@@ -31,8 +38,22 @@ from .potential import eval_double_well
 # Default finite-difference spacing: the three-point stencil error per
 # level is (h^2/24) <p^4>, about 1e-7..1e-6 for the lowest levels here.
 DEFAULT_SPACING = 0.0015
-# Hard walls at least this far beyond both well minima.
-GRID_MARGIN = 8.0
+# Hard walls at least this far beyond both well minima, where the ground
+# density exp(-x^2) of either well is below 5e-19.  Moving the walls from
+# 6.5 to 12.5 (a whole number of nodes, so no node moves against the cusp
+# at x = 0) moves levels 0-3 by at most:
+#
+#     shape (d, f)     h = 0.01    h = 0.0015
+#     (0, 0)           2.9e-13     1.8e-12
+#     (4.82, 0.12)     1.2e-13     1.5e-12
+#     (8, 0.1)         5.4e-14     8.5e-13
+#
+# A change of margin must move the walls by a whole number of nodes at
+# every spacing in use, as 8.0 -> 6.5 does (150 nodes at 0.01, 1000 at
+# 0.0015, 75 at 0.02, 750 at 0.002).  A margin of 7 or 12 does not at
+# 0.0015: the nodes shift against the cusp and the levels of
+# (4.82, 0.12) move by 6.4e-8 through the stencil, not the walls.
+GRID_MARGIN = 6.5
 # Coarsest spacing accepted; production solves should stay at 0.02 or
 # below, but convergence-order checks need one octave above that.
 MAX_SPACING = 0.04
@@ -101,6 +122,8 @@ def solve_double_well(
     Second-order three-point kinetic stencil with hard walls; the
     default grid reaches GRID_MARGIN beyond both minima, which the
     convergence properties (h^2 scaling, wall insensitivity) validate.
+    Raises NumericalError when the level iteration cannot certify the
+    lowest n_states (see `_grid.lowest_levels`).
     """
 
     if separation < 0.0:
@@ -119,7 +142,7 @@ def solve_double_well(
     if n_states > len(x):
         raise ConfigurationError("more states requested than grid points")
     energies, waves = _grid.lowest_levels(
-        x, spec.spacing, eval_double_well(separation, tilt, x), n_states
+        spec.spacing, eval_double_well(separation, tilt, x), n_states
     )
     return WellLevels(
         separation=separation,

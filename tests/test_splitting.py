@@ -10,8 +10,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
-from atomprep.errors import ConfigurationError, DomainError, PathNotFoundError
+from atomprep import _grid
+from atomprep.errors import ConfigurationError, DomainError, NumericalError, PathNotFoundError
+from atomprep.potential import eval_double_well
 from atomprep.splitting import (
     GridSpec,
     default_grid,
@@ -107,6 +110,85 @@ class TestSolveDoubleWell:
         assert gs.spacing <= 0.04
 
 
+def _stencil(separation, tilt, spec):
+    """Nodes, spacing, potential and the (diagonal, off-diagonal) of H."""
+    x, h = spec.points(), spec.spacing
+    v = eval_double_well(separation, tilt, x)
+    return x, h, v, _grid._diagonal(h, v), _grid._off_diagonal(h)
+
+
+class TestLevelIteration:
+    """lowest_levels: certified indices, the first-lobe sign rule and the
+    wall margin."""
+
+    @pytest.mark.parametrize("spec", [GridSpec(12.0, 0.002), GridSpec(10.5, 0.01)])
+    def test_sturm_count_matches_eigh_tridiagonal_across_doublets(self, spec):
+        # (8, 0): tunnelling doublets 5.1e-7 and 1.5e-5 wide
+        x, h, v, diag, off = _stencil(8.0, 0.0, spec)
+        levels = eigh_tridiagonal(diag, np.full(len(x) - 1, off), eigvals_only=True,
+                                  select="i", select_range=(0, 6))
+        for k, level in enumerate(levels[:-1]):
+            step = 0.25 * min(np.abs(levels[k] - np.delete(levels, k)))
+            assert _grid._count_at_most(diag, off, float(v.min()), level - step) == k
+            assert _grid._count_at_most(diag, off, float(v.min()), level + step) == k + 1
+
+    def test_wrong_level_landing_raises(self, monkeypatch):
+        # starts that skip the ground state land on levels 1 and 2, and the
+        # spare on level 3; the count finds 3 levels at or below level 2
+        start_block = _grid._start_block
+
+        def skip_ground(diag, off, shift, width):
+            values, vectors = start_block(diag, off, shift, width + 1)
+            return values[1:], vectors[:, 1:]
+
+        monkeypatch.setattr(_grid, "_start_block", skip_ground)
+        with pytest.raises(NumericalError, match="not certified"):
+            solve_double_well(4.82, 0.12, 2, GridSpec(9.03, 0.01))
+
+    @pytest.mark.parametrize(
+        "separation,tilt,spec",
+        [(8.0, 0.0, GridSpec(12.0, 0.002)), (0.0, 0.0, GridSpec(8.0, 0.01)),
+         (4.82, 0.12, None), (2.0, 0.0, GridSpec(8.5, 0.01))],
+    )
+    def test_first_lobe_positive(self, separation, tilt, spec):
+        levels = solve_double_well(separation, tilt, 3, spec)
+        for row in levels.wavefunctions:
+            mag = np.abs(row)
+            assert row[np.argmax(mag >= 0.1 * mag.max())] > 0.0
+        # a nodeless ground state is positive throughout, so its integral is too
+        assert np.all(levels.wavefunctions[0] >= -1e-12)
+        assert _grid.integral(levels.grid, levels.grid[1] - levels.grid[0],
+                              levels.wavefunctions[0]) > 0.0
+
+    @pytest.mark.parametrize(
+        "separation,tilt,spec",
+        [(8.0, 0.0, GridSpec(12.0, 0.002)), (0.0, 0.0, GridSpec(8.0, 0.01)),
+         (2.0, 0.0, GridSpec(8.5, 0.01))],
+    )
+    def test_one_ulp_nudge_flips_no_sign(self, separation, tilt, spec):
+        # the odd states' trapezoid integrals are round-off (5e-13 at
+        # (0, 0)) or doublet mixing (3e-6 at (8, 0)); their first lobes are not
+        x, h, v, _, _ = _stencil(separation, tilt, spec)
+        _, base = _grid.lowest_levels(h, v, 3)
+        up, down = np.nextafter(v, np.inf), np.nextafter(v, -np.inf)
+        for nudged in (up, np.where(x < 0.0, up, v), np.where(x > 0.0, down, v)):
+            _, moved = _grid.lowest_levels(h, nudged, 3)
+            assert np.all(np.sum(base * moved, axis=1) > 0.0)
+
+    @pytest.mark.parametrize("spacing", [0.01, 0.0015])
+    @pytest.mark.parametrize("separation,tilt", [(0.0, 0.0), (4.82, 0.12), (8.0, 0.1)])
+    def test_levels_insensitive_to_wall_margin(self, separation, tilt, spacing):
+        # Walls GRID_MARGIN = 6.5 and 12.5 beyond the minima: 6.0 apart, a
+        # whole number of nodes at both spacings, so only the walls move.
+        # (At margin 12 the nodes at h = 0.0015 shift against the cusp at
+        # x = 0 and the levels of (4.82, 0.12) move by 6.4e-8.)  Measured
+        # difference at most 1.8e-12.
+        near = solve_double_well(separation, tilt, 4, default_grid(separation, tilt, spacing))
+        far = solve_double_well(separation, tilt, 4, GridSpec(
+            0.5 * separation + abs(tilt) + 12.5, spacing))
+        assert np.max(np.abs(near.energies - far.energies)) <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def small_map():
     return gap_map((0.0, 5.0), (0.0, 0.15), 6, 4, spacing=0.01)
@@ -170,6 +252,31 @@ def _reference_ramp(survey, path, duration, samples):
 @pytest.fixture(scope="module")
 def survey():
     return gap_map((0.0, 5.0), (0.08, 0.16), 26, 5, spacing=0.01)
+
+
+class TestSurveyPinned:
+    # The default split-gap survey as recorded before the level iteration
+    # and the 6.5 wall margin: e0, e1 and gaps within 1e-10, centroids
+    # within 1e-9 (moved by at most 3.1e-12 and 1.1e-11).
+    CELLS = {
+        (0, 2): (0.49279687497824365, 1.492784374825272, -0.12000000000012101),
+        (12, 0): (0.3131439953664499, 0.6734682933585793, -0.6431057794734457),
+        (24, 2): (0.2045407113740318, 0.7795802259180465, -2.518217487253821),
+        (25, 4): (0.08708811587483065, 0.8860883266490638, -2.6592640507799676),
+    }
+
+    def test_named_cells(self, survey):
+        for (i, j), (e0, e1, centroid) in self.CELLS.items():
+            assert abs(survey.e0[i, j] - e0) <= 1e-10
+            assert abs(survey.e1[i, j] - e1) <= 1e-10
+            assert abs(survey.gaps[i, j] - (e1 - e0)) <= 1e-10
+            assert abs(survey.centroids[i, j] - centroid) <= 1e-9
+
+    def test_bottleneck_gap(self, survey):
+        path = plan_split_path(survey, 4.82, 0.05, f_bias=0.12)
+        assert len(path) == 27
+        bottleneck = min(path_gap(survey, node) for node in path)
+        assert bottleneck == pytest.approx(0.4568307376310239, rel=1e-10, abs=0.0)
 
 
 class TestPathPlanning:

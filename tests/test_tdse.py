@@ -68,7 +68,8 @@ def _reference_propagate(psi0, potential, dt, t_final, absorber=None):
 
 
 def _reference_levels(separation, tilt, n_states, spec):
-    """Original eigensolve: explicit stencil, eigh_tridiagonal, trapezoid sign rule."""
+    """The eigensolve lowest_levels replaced: explicit stencil and
+    eigh_tridiagonal, states normalized on the grid (signs are not compared)."""
     x = spec.points()
     h = spec.spacing
     diag = 1.0 / (h * h) + eval_double_well(separation, tilt, x)
@@ -76,11 +77,7 @@ def _reference_levels(separation, tilt, n_states, spec):
     energies, vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(0, n_states - 1)
     )
-    waves = (vecs / math.sqrt(h)).T.copy()
-    for row in waves:
-        if np.trapezoid(row, x) < 0.0:
-            row *= -1.0
-    return energies, waves
+    return energies, (vecs / math.sqrt(h)).T
 
 
 def _short_ramp(separation, tilt, duration=40.0):
@@ -314,11 +311,32 @@ class TestAgainstReferenceLoop:
         [(4.82, 0.12, None), (0.0, 0.0, GridSpec(8.0, 0.01)), (8.0, 0.0, GridSpec(12.0, 0.002))],
     )
     def test_levels_match_reference_eigensolve(self, separation, tilt, spec):
+        # Energies within 2 eps |H|; observed at most 0.37 eps |H| (5.4e-11
+        # at h = 0.0015, 1.6e-12 at h = 0.01).  States closer than 1e-3 in
+        # energy form one group (the (8, 0) doublet, 5.1e-7 wide); each
+        # group spans the reference's subspace to within
+        # 2 * _RESIDUAL * sqrt(k) eps |H| over its distance to the nearest
+        # other level: Davis-Kahan for either solver, whose residuals are at
+        # most _RESIDUAL eps |H| (LAPACK's inverse iteration measured at most
+        # 6.4), plus the triangle inequality.  Observed: at most 2.8% of that
+        # bound for single states (3.0e-10 for the (4.82, 0.12) ground
+        # state, where an extra Rayleigh step moves this solver's vector by
+        # 5e-13), and 7% (3.6e-10) for the (8, 0) doublet, whose vectors are
+        # each determined only to 8.7e-6.
         levels = solve_double_well(separation, tilt, 3, spec)
         spec = spec or default_grid(separation, tilt)
-        energies, waves = _reference_levels(separation, tilt, 3, spec)
-        assert np.array_equal(levels.energies, energies)
-        assert np.array_equal(levels.wavefunctions, waves)
+        energies, waves = _reference_levels(separation, tilt, 4, spec)
+        h = spec.spacing
+        v_max = float(np.max(eval_double_well(separation, tilt, spec.points())))
+        unit = np.finfo(float).eps * (2.0 / (h * h) + v_max)  # eps |H|, row-sum norm
+        assert np.max(np.abs(levels.energies - energies[:3])) <= 2.0 * unit
+        for group in np.split(np.arange(3), np.flatnonzero(np.diff(energies[:3]) > 1e-3) + 1):
+            rest = np.delete(energies, group)
+            distance = np.min(np.abs(energies[group][:, None] - rest))
+            mine = levels.wavefunctions[group].T * math.sqrt(h)
+            ref = waves[group].T * math.sqrt(h)
+            outside = np.linalg.norm(mine - ref @ (ref.T @ mine), 2)
+            assert outside <= 2.0 * _grid._RESIDUAL * math.sqrt(len(group)) * unit / distance
 
 
 class TestAbsorber:
