@@ -7,24 +7,27 @@ weights.  Callers pass the spacing: the split levels use their grid
 spec's nominal spacing, propagation the first node difference.
 
 A Crank-Nicolson step solves A psi' = B psi with A = 1 + i dt H/2 and
-B = 1 - i dt H/2.  A driven run (the split ramp) takes its potential as
-a Drive: fixed profiles on the grid times per-step weights, all checked
-before the first step.  Since A + B = 2, psi' = A^-1 B psi = 2 chi - psi
-with A chi = psi, so a step is one dot product for A's diagonal, one
-LAPACK zgtsv call on buffers allocated once per run, and 2 chi - psi.
-A static run (a decay run, potential given as an array) sets its band
-once and calls solve_banded, which ends in the same gtsv call;
-crank_nicolson says why it does.
+B = 1 - i dt H/2.  A static run (a decay run, potential given as an
+array) sets its band once and calls solve_banded on the grid;
+crank_nicolson says why.  A driven run (the split ramp) takes its
+potential as a Drive: fixed profiles on the grid times per-step
+weights, all checked before the first step, and a basis of K
+orthonormal columns whose span holds the run.  The stencil and the
+profiles are projected onto the basis once (Galerkin), and since
+A + B = 2, psi' = A^-1 B psi = 2 chi - psi with A chi = psi, so a step
+is one dot product for the K x K matrix A, one LAPACK zgesv solve and
+2 chi - psi, whatever the grid.
 
 The lowest real levels cost a few tridiagonal solves each.  Since the
 kinetic part is positive definite, min V lies below every level; a
 start block iterated at that shift gives one start per state, and each
 state is refined by shift-invert Rayleigh-quotient iteration with the
 states below it deflated, until its residual is at most _RESIDUAL
-eps |H|.  One Sturm count (dstebz) then certifies the indices: exactly
-n_states levels may lie at or below the top one found.  A level that
-cannot be certified raises NumericalError; none is returned unchecked.
-The iteration's products are unconjugated, so the same kernel takes a
+eps |H|.  Sturm counts (dstebz) then certify the indices.  Indices the
+start block misses take their shifts from a Sturm bisection by index
+and start from a seeded vector of no parity.  A level that cannot be
+certified raises NumericalError; none is returned unchecked.  The
+iteration's products are unconjugated, so the same kernel takes a
 complex diagonal and shift.
 """
 
@@ -36,7 +39,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, zgtsv
+from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, zgesv
 
 from .errors import ConfigurationError, DomainError, NumericalError
 
@@ -51,19 +54,24 @@ _BLOCK_STEPS = 4
 _RQI_STEPS = 20
 # A state's sign is that of its first lobe reaching this fraction of its peak.
 _LOBE = 0.1
+# Seed of the parity-free starts for the states the start block misses.
+_SEED = 20090612
 
 
 @dataclass(frozen=True)
 class Drive:
-    """A time-dependent potential V(t) = weights(t) @ profiles.
+    """A time-dependent potential V(t) = weights(t) @ profiles, run in the
+    span of a basis.
 
     profiles is an (m, n) array of fixed potentials on the n grid nodes;
     weights maps an array of k times to the (k, m) array of their
-    weights.
+    weights; basis is an (n, K) array whose columns are orthonormal
+    under the plain sum over the nodes.
     """
 
     profiles: np.ndarray
     weights: Callable[[np.ndarray], np.ndarray]
+    basis: np.ndarray
 
 
 def integral(grid: np.ndarray, h: float, values: np.ndarray, bounds: tuple | None = None):
@@ -101,12 +109,17 @@ def lowest_levels(h: float, v: np.ndarray, n_states: int):
     n_states + 1 polynomial columns, then Rayleigh-Ritz, give one start
     per state; each state is then found by Rayleigh-quotient iteration
     (_rayleigh_iteration), deflating the states found before it, until
-    its residual is at most _RESIDUAL eps |H|.  One Sturm count then
-    certifies the indices: the number of levels at or below the top
-    found level (plus the residual margin) must be exactly n_states.
-    If it is larger, a level was skipped, and the spare start is
-    refined too; if the count still disagrees, or an iteration does not
-    converge, NumericalError is raised.
+    its residual is at most _RESIDUAL eps |H|.  Sturm counts then
+    certify the indices (_certified).  If the starts leave the lowest
+    states uncertified, each index still missing takes its shift from a
+    Sturm bisection by index (_index_shifts) and starts from a seeded
+    vector of no parity, through the same iteration and count; if the
+    count still disagrees, or an iteration does not converge,
+    NumericalError is raised.
+
+    The partner rule: when the top state's level has a partner within
+    the count margin (n_states residual bounds), no count separates the
+    pair, and either member is a valid top state.
 
     States are normalized to sum h |psi|^2 = 1 and signed so that their
     first lobe, from the left, reaching _LOBE of the state's peak is
@@ -117,20 +130,33 @@ def lowest_levels(h: float, v: np.ndarray, n_states: int):
     off = _off_diagonal(h)
     lower = float(np.min(v))
     tol = _RESIDUAL * np.finfo(float).eps * (float(np.max(np.abs(diag))) + 2.0 * abs(off))
+    margin = n_states * tol
     values, starts = _start_block(diag, off, lower, min(n_states + 1, len(diag)))
     energies, vectors = [], []
+    keep = None
     for value, start in zip(values, starts.T):
         energy, vector = _rayleigh_iteration(diag, off, value, start, vectors, tol)
         energies.append(energy)
         vectors.append(vector)
-        if len(vectors) < n_states:
-            continue
-        keep = np.argsort(energies)[:n_states]
-        top = energies[keep[-1]]
-        count = _count_at_most(diag, off, lower, top + n_states * tol)
-        if count == n_states:
-            break
-    else:
+        if len(vectors) >= n_states:
+            keep = _certified(diag, off, lower, energies, n_states, margin)
+            if keep is not None:
+                break
+    if keep is None:
+        rng = np.random.default_rng(_SEED)
+        for shift in _index_shifts(diag, off, lower, energies, n_states, margin):
+            # The shift is a level to bisection accuracy, so only found
+            # states within the count margin of it need deflating; every
+            # deflated state adds up to its own residual to this one's.
+            partners = [q for e, q in zip(energies, vectors) if abs(e - shift) <= margin]
+            energy, vector = _rayleigh_iteration(
+                diag, off, shift, rng.standard_normal(len(diag)), partners, tol)
+            energies.append(energy)
+            vectors.append(vector)
+        keep = _certified(diag, off, lower, energies, n_states, margin)
+    if keep is None:
+        top = np.sort(energies)[n_states - 1]
+        count = _count_at_most(diag, off, lower, top + margin)
         raise NumericalError(
             f"{count} levels lie at or below {top:.12g}, the top of the "
             f"{n_states} found: the lowest levels are not certified"
@@ -141,6 +167,49 @@ def lowest_levels(h: float, v: np.ndarray, n_states: int):
         if row[np.argmax(mag >= _LOBE * mag.max())] < 0.0:
             row *= -1.0
     return np.array(energies)[keep], states
+
+
+def _certified(diag: np.ndarray, off: float, lower: float, energies: list,
+               n_states: int, margin: float):
+    """Indices of the lowest n_states of energies if Sturm counts certify
+    them as the lowest levels of H, else None.
+
+    They are certified when exactly n_states levels lie at or below the
+    top one plus the margin, or, by the partner rule, when every level
+    below the top one's margin is among them: the rest then lie within
+    the margin of the top level, and no count can tell them apart.
+    """
+    keep = np.argsort(energies)[:n_states]
+    top = energies[keep[-1]]
+    if _count_at_most(diag, off, lower, top + margin) == n_states:
+        return keep
+    below = int(np.sum(np.asarray(energies)[keep] <= top - margin))
+    return keep if _count_at_most(diag, off, lower, top - margin) == below else None
+
+
+def _index_shifts(diag: np.ndarray, off: float, lower: float, energies: list,
+                  n_states: int, margin: float) -> np.ndarray:
+    """Shifts for the indices below n_states that no found energy holds.
+
+    A found energy holds the index of the levels counted below its
+    margin, and found energies sharing that count hold the indices
+    after it.  The missing indices' shifts come from one Sturm bisection
+    by index (dstebz range 'I') to LAPACK's default tolerance.
+    """
+    held = set()
+    for energy in sorted(energies):
+        index = _count_at_most(diag, off, lower, energy - margin)
+        while index in held:
+            index += 1
+        held.add(index)
+    missing = [k for k in range(n_states) if k not in held]
+    if not missing:
+        return np.empty(0)
+    _, shifts, *_, info = dstebz(diag, np.full(len(diag) - 1, off), 2, 0.0, 0.0,
+                                 missing[0] + 1, missing[-1] + 1, 0.0, "E")
+    if info:
+        raise NumericalError(f"index bisection failed (dstebz info {info})")
+    return shifts[np.array(missing) - missing[0]]
 
 
 def _apply(diag: np.ndarray, off: float, x: np.ndarray) -> np.ndarray:
@@ -221,21 +290,15 @@ def _count_at_most(diag: np.ndarray, off: float, lower: float, value: float) -> 
 
 
 def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
-                   potential: Drive | np.ndarray,
+                   potential: np.ndarray,
                    absorber: np.ndarray | None = None) -> Iterator[np.ndarray]:
-    """Yield psi after each of n_steps Crank-Nicolson steps.
+    """Yield psi after each of n_steps Crank-Nicolson steps of a static
+    potential.
 
-    Each step solves (1 + i dt H/2) psi' = (1 - i dt H/2) psi.  potential
-    is an array, or a Drive taken at each step's midpoint.  A Drive's
-    weights are checked before the first step: a table of the wrong
-    shape raises ConfigurationError, and non-finite weights DomainError
-    naming the first bad step.  The caller checks psi, an array
-    potential, a Drive's profiles and the absorber.
+    Each step solves (1 + i dt H/2) psi' = (1 - i dt H/2) psi.  The
+    caller checks psi, the potential and the absorber.
     """
     off = 0.5j * dt * _off_diagonal(h)
-    if isinstance(potential, Drive):
-        yield from _driven_steps(psi, h, dt, n_steps, potential, absorber, off)
-        return
     # Kept deliberately for the benchmark, not by design: zgtsv gives the
     # same states here too, but would fit more cull-verify jobs in its time
     # budget, and that workload's failure share moves with the job count
@@ -250,12 +313,20 @@ def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
         yield psi
 
 
-def _driven_steps(psi, h, dt, n_steps, drive, absorber, off):
-    """Driven steps psi' = 2 chi - psi, with A chi = psi solved by zgtsv.
+def driven_crank_nicolson(c: np.ndarray, h: float, dt: float, n_steps: int,
+                          drive: Drive) -> Iterator[np.ndarray]:
+    """Yield the basis coefficients after each of n_steps Crank-Nicolson
+    steps of a Drive, taken at each step's midpoint, in its basis's span.
 
-    The weights of every step are checked before the first one.
+    The stencil and each profile are projected once onto the basis Q
+    (Galerkin: Q^T H Q, K x K).  Since A + B = 2, c' = A^-1 B c =
+    2 chi - c with A chi = c, so a step is one dot product for A and one
+    K x K LAPACK zgesv solve.  The weights of every step are checked
+    first: a table of the wrong shape raises ConfigurationError, and
+    non-finite weights DomainError naming the first bad step.  The
+    caller checks c, the profiles and the basis.
     """
-    m, n = len(drive.profiles), len(psi)
+    m = len(drive.profiles)
     weights = np.asarray(drive.weights((np.arange(n_steps) + 0.5) * dt), dtype=float)
     if weights.shape != (n_steps, m):
         raise ConfigurationError(f"drive weights have shape {weights.shape}, not {(n_steps, m)}")
@@ -266,30 +337,36 @@ def _driven_steps(psi, h, dt, n_steps, drive, absorber, off):
         )
     table = np.ones((n_steps, m + 1))
     table[:, :m] = weights
-    # A's diagonal is written by one dot per step straight into its complex
-    # buffer, read as interleaved (real, imaginary) floats.  The profiles,
-    # scaled by dt/2, fill the imaginary slots; a last row of weight 1
-    # holds the real part, 1 + dt W/2, and the kinetic dt/(2h^2).
-    rows = np.zeros((m + 1, n, 2))
-    rows[:m, :, 1] = 0.5 * dt * np.asarray(drive.profiles, dtype=float)
-    rows[m, :, 0] = 1.0 if absorber is None else 1.0 + 0.5 * dt * absorber
-    rows[m, :, 1] = 0.5 * dt / (h * h)
-    rows = rows.reshape(m + 1, 2 * n)
-    diag = np.empty(n, dtype=complex)
-    lower, upper = np.empty_like(diag[1:]), np.empty_like(diag[1:])
+    del weights
+    basis = drive.basis
+    size = basis.shape[1]
+    # The stencil's part of Q^T H Q: the off-diagonal couples each node's
+    # row of Q to the next one's, so no n x K product is formed.
+    neighbours = basis[1:].T @ basis[:-1]
+    kinetic = (basis.T @ basis - 0.5 * (neighbours + neighbours.T)) / (h * h)
+    terms = [basis.T @ (profile[:, np.newaxis] * basis) for profile in drive.profiles]
+    # A = 1 + i dt/2 (table[k] @ terms) is written by one dot per step
+    # straight into its complex buffer, read as interleaved (real,
+    # imaginary) floats: the terms, scaled by dt/2, fill the imaginary
+    # slots, and a last row of weight 1 holds the identity and the
+    # kinetic term.  Symmetrized, the terms make A exactly symmetric, so
+    # its transpose is the same matrix in the column order zgesv reads.
+    rows = np.zeros((m + 1, size, size, 2))
+    for row, term in zip(rows, terms + [kinetic]):
+        row[:, :, 1] = 0.25 * dt * (term + term.T)
+    rows[m, :, :, 0] = np.eye(size)
+    rows = rows.reshape(m + 1, -1)
+    a = np.empty((size, size), dtype=complex)
+    flat = a.view(float).reshape(-1)
     for k in range(n_steps):
-        np.dot(table[k], rows, out=diag.view(float))
-        # gtsv overwrites all three diagonals, and the right-hand side
-        # with the solution.
-        lower.fill(off)
-        upper.fill(off)
-        *_, chi, info = zgtsv(lower, diag, upper, psi.copy(), 1, 1, 1, 1)
+        np.dot(table[k], rows, out=flat)
+        *_, chi, info = zgesv(a.T, c, 1, 0)
         if info:
-            raise NumericalError(f"tridiagonal solve failed at step {k + 1} (info {info})")
+            raise NumericalError(f"Crank-Nicolson solve failed at step {k + 1} (info {info})")
         chi *= 2.0
-        chi -= psi
-        psi = chi
-        yield psi
+        chi -= c
+        c = chi
+        yield c
 
 
 def _explicit_product(explicit: np.ndarray, off: complex, psi: np.ndarray) -> np.ndarray:

@@ -40,19 +40,14 @@ from .potential import eval_double_well
 DEFAULT_SPACING = 0.0015
 # Hard walls at least this far beyond both well minima, where the ground
 # density exp(-x^2) of either well is below 5e-19.  Moving the walls from
-# 6.5 to 12.5 (a whole number of nodes, so no node moves against the cusp
-# at x = 0) moves levels 0-3 by at most:
+# 6.5 to 12.5 moves levels 0-3 by at most:
 #
 #     shape (d, f)     h = 0.01    h = 0.0015
 #     (0, 0)           2.9e-13     1.8e-12
 #     (4.82, 0.12)     1.2e-13     1.5e-12
 #     (8, 0.1)         5.4e-14     8.5e-13
 #
-# A change of margin must move the walls by a whole number of nodes at
-# every spacing in use, as 8.0 -> 6.5 does (150 nodes at 0.01, 1000 at
-# 0.0015, 75 at 0.02, 750 at 0.002).  A margin of 7 or 12 does not at
-# 0.0015: the nodes shift against the cusp and the levels of
-# (4.82, 0.12) move by 6.4e-8 through the stencil, not the walls.
+# GridSpec.points keeps the cusp at x = 0 on a node whatever the margin.
 GRID_MARGIN = 6.5
 # Coarsest spacing accepted; production solves should stay at 0.02 or
 # below, but convergence-order checks need one octave above that.
@@ -75,9 +70,16 @@ class GridSpec:
             )
 
     def points(self) -> np.ndarray:
-        """Interior nodes; the walls themselves carry zero amplitude."""
-        count = int(round(2.0 * self.half_width / self.spacing))
-        return -self.half_width + self.spacing * np.arange(1, count)
+        """Interior nodes k * spacing, |k| < m, with m the fewest spacings
+        that reach half_width.
+
+        The walls at +-m * spacing, rounded outward to whole spacings,
+        carry zero amplitude.  So the double well's cusp at x = 0 is a
+        node on every grid; a cusp between nodes would move the levels
+        through the stencil by up to 1.5e-7 at spacing 0.0015.
+        """
+        m = math.ceil(self.half_width / self.spacing - 1e-9)
+        return -(m * self.spacing) + self.spacing * np.arange(1, 2 * m)
 
 
 def default_grid(separation: float, tilt: float, spacing: float = DEFAULT_SPACING) -> GridSpec:

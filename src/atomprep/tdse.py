@@ -5,12 +5,17 @@ quasi-bound state (the stationary interior solution cut off at the trap
 edges and renormalized), propagates it with the Crank-Nicolson stepper
 of the shared grid Hamiltonian (`_grid`: three-point kinetic stencil,
 hard-wall boundaries), and records the probability remaining inside the
-trap.  The same stepper drives the time-dependent double well for
-splitting ramps, where the split levels come from the same stencil.  A
+trap.  The same stencil drives the time-dependent double well for
+splitting ramps, where the split levels come from it too.  A
 time-dependent potential is a Drive: fixed profiles on the grid times
-weights per step.  The split's double well is affine in the profiles
-x^2/2, |x|, x and 1, with weights (1, -d/2, f, d^2/8) interpolated from
-the ramp at every step midpoint at once.
+weights per step, run in the span of a basis.  The split's double well
+is affine in the profiles x^2/2, |x|, x and 1, with weights
+(1, -d/2, f, d^2/8) interpolated from the ramp at every step midpoint
+at once.  A slow ramp keeps the atom in the span of the few lowest
+instantaneous eigenstates, so the split's basis holds the lowest states
+at a few ramp rows (a reduced basis; Quarteroni, Manzoni and Negri,
+Reduced Basis Methods for PDEs, Springer 2016), and a step costs a
+K x K solve with K about 30 instead of a solve on the grid.
 
 Crank-Nicolson is unconditionally stable and exactly norm-preserving
 for Hermitian Hamiltonians, so deviations from unitarity measure
@@ -54,6 +59,24 @@ ABSORBER_FRACTION = 0.2
 ABSORBER_STRENGTH = 30.0
 # Interior padding above the uphill trap edge.
 INTERIOR_PAD = 6.0
+# The split's reduced basis (_split_drive): the lowest SNAPSHOT_STATES
+# states at up to SNAPSHOT_ROWS ramp rows, kept down to singular values of
+# SNAPSHOT_CUT times the largest.  Measured at the paper point (4.82, 0.12,
+# T = 400, dt = 0.02; infidelity 1.2206461191e-5 here, 1.2206461190e-5 by
+# the grid loop), relative move of the infidelity against these counts:
+#
+#     rows x states    K     move
+#     11 x 4           30    0
+#     22 x 4           30    -5.4e-9
+#     11 x 6           32    -6.2e-10
+#     22 x 6           33    +1.4e-9
+#     41 x 8           35    -2.3e-9
+SNAPSHOT_ROWS = 11
+SNAPSHOT_STATES = 4
+SNAPSHOT_CUT = 1e-10
+# Largest deviation from orthonormality of a Drive's basis, and largest
+# relative part of the initial state outside its span.
+BASIS_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -171,14 +194,19 @@ def propagate(
     potential is either a static array on psi0's grid or a Drive, whose
     (m, n) profiles sit on that grid and whose weights are taken at the
     step midpoints t + dt/2; any other kind, a callable among them,
-    raises ConfigurationError.  Survival is the weighted norm over
-    survival_bounds (the full grid when None), sampled at at least
-    min_samples times.  dt must not exceed MAX_DT.  All inputs are
-    checked before the first step: a non-finite t_final, or non-finite
-    values in psi0, the potential, a Drive's profiles or weights, or the
-    absorber raise DomainError (a weight names its step).  Without an
-    absorber, norm growth beyond 1e-6 aborts with a numerical-failure
-    error.
+    raises ConfigurationError.  A Drive runs in the span of its basis
+    (n x K, orthonormal columns): psi0, the stencil and the profiles are
+    projected once, each step is a K x K solve, and states return to the
+    grid only at the survival samples and at the end.  A basis that does
+    not fit the grid or is not orthonormal, a psi0 outside its span, or
+    an absorber with a Drive raise ConfigurationError.  Survival is the
+    weighted norm over survival_bounds (the full grid when None),
+    sampled at at least min_samples times.  dt must not exceed MAX_DT.
+    All inputs are checked before the first step: a non-finite t_final,
+    or non-finite values in psi0, the potential, a Drive's profiles,
+    basis or weights, or the absorber raise DomainError (a weight names
+    its step).  Without an absorber, norm growth beyond 1e-6 aborts with
+    a numerical-failure error.
     """
 
     if not 0.0 < dt <= MAX_DT:
@@ -193,6 +221,15 @@ def propagate(
         if profiles.ndim != 2 or profiles.shape[1:] != grid.shape:
             raise ConfigurationError("drive profiles do not match the grid")
         _require_finite("drive profiles", profiles)
+        basis = np.asarray(potential.basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != len(grid) or basis.shape[1] < 1:
+            raise ConfigurationError("drive basis does not match the grid")
+        _require_finite("drive basis", basis)
+        if np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) > BASIS_TOLERANCE:
+            raise ConfigurationError("drive basis columns are not orthonormal")
+        if absorber is not None:
+            raise ConfigurationError("a Drive takes no absorber")
+        potential = Drive(profiles, potential.weights, basis)
     elif isinstance(potential, np.ndarray):
         potential = np.asarray(potential, dtype=float)
         if potential.shape != grid.shape:
@@ -222,12 +259,27 @@ def propagate(
 
     psi = psi0.values.astype(complex)
     norm0 = psi0.norm
+    if isinstance(potential, Drive):
+        basis = potential.basis
+
+        def to_grid(c: np.ndarray) -> np.ndarray:
+            # real and imaginary parts apart: a real basis times a complex
+            # vector would copy the basis to complex
+            return basis @ c.real + 1j * (basis @ c.imag)
+
+        state = basis.T @ psi.real + 1j * (basis.T @ psi.imag)
+        if np.linalg.norm(psi - to_grid(state)) > BASIS_TOLERANCE * np.linalg.norm(psi):
+            raise ConfigurationError("initial state lies outside the drive basis")
+        steps = _grid.driven_crank_nicolson(state, h, step, n_steps, potential)
+    else:
+        steps = _grid.crank_nicolson(psi, h, step, n_steps, potential, absorber)
+        to_grid = np.asarray
 
     times = [0.0]
     survival = [measure(psi)]
-    steps = _grid.crank_nicolson(psi, h, step, n_steps, potential, absorber)
-    for done, psi in enumerate(steps, 1):
+    for done, state in enumerate(steps, 1):
         if done % stride == 0 or done == n_steps:
+            psi = to_grid(state)
             times.append(done * step)
             survival.append(measure(psi))
             if absorber is None:
@@ -336,23 +388,41 @@ def split_fidelity(
     grid_spec = splitting.default_grid(
         float(seps.max()), float(np.abs(tilts).max()), spacing=0.01
     )
-    start = splitting.solve_double_well(seps[0], tilts[0], 1, grid_spec)
-    target = splitting.solve_double_well(seps[-1], tilts[-1], 1, grid_spec)
+    drive, start, target = _split_drive(times, seps, tilts, grid_spec)
     grid = start.grid
     psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
-    drive = _split_drive(times, seps, tilts, grid)
     out = propagate(psi0, drive, dt, float(times[-1]), min_samples=2)
     ghost = WavePacket(grid=grid, values=target.wavefunctions[0].astype(complex))
     return float(abs(ghost.overlap(out.final_state)) ** 2)
 
 
-def _split_drive(times, seps, tilts, grid: np.ndarray) -> Drive:
-    """The ramp's double well as a Drive.
+def _split_drive(times, seps, tilts, grid_spec: splitting.GridSpec
+                 ) -> tuple[Drive, splitting.WellLevels, splitting.WellLevels]:
+    """The ramp's double well as a Drive, with the levels at its first
+    and last rows.
 
     V = (|x| - d/2)^2 / 2 + f x = x^2/2 - (d/2)|x| + f x + d^2/8, so the
     profiles are x^2/2, |x|, x and 1, and the weights (1, -d/2, f, d^2/8)
-    come from one np.interp of each ramp column over all times.
+    come from one np.interp of each ramp column over all times.  The
+    constant profile stays: a global phase leaves the exact fidelity
+    alone, but Crank-Nicolson's phase error depends on the energy zero.
+
+    The basis spans the SNAPSHOT_STATES lowest states at up to
+    SNAPSHOT_ROWS evenly spaced ramp rows, the first and last always
+    among them; their SVD keeps the directions whose singular values
+    exceed SNAPSHOT_CUT of the largest.
     """
+    rows = np.unique(np.round(np.linspace(0, len(times) - 1, min(SNAPSHOT_ROWS, len(times)))))
+    grid = grid_spec.points()
+    stack = np.empty((len(grid), len(rows) * SNAPSHOT_STATES), order="F")
+    for k, i in enumerate(rows.astype(int)):
+        levels = splitting.solve_double_well(seps[i], tilts[i], SNAPSHOT_STATES, grid_spec)
+        stack[:, k * SNAPSHOT_STATES:(k + 1) * SNAPSHOT_STATES] = levels.wavefunctions.T
+        if k == 0:
+            start = levels
+    stack *= math.sqrt(grid_spec.spacing)
+    vectors, values, _ = np.linalg.svd(stack, full_matrices=False)
+    basis = vectors[:, values > SNAPSHOT_CUT * values[0]]
     profiles = np.array([eval_double_well(0.0, 0.0, grid), np.abs(grid), grid,
                          np.ones_like(grid)])
 
@@ -361,4 +431,4 @@ def _split_drive(times, seps, tilts, grid: np.ndarray) -> Drive:
         return np.column_stack([np.ones_like(half), -half, np.interp(t, times, tilts),
                                 0.5 * half * half])
 
-    return Drive(profiles, weights)
+    return Drive(profiles, weights, basis), start, levels

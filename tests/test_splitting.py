@@ -134,7 +134,9 @@ class TestLevelIteration:
 
     def test_wrong_level_landing_raises(self, monkeypatch):
         # starts that skip the ground state land on levels 1 and 2, and the
-        # spare on level 3; the count finds 3 levels at or below level 2
+        # spare on level 3; the index shift for the missing ground state is
+        # moved up to 10, so its iteration lands on a high level too, and the
+        # count finds 3 levels at or below level 2
         start_block = _grid._start_block
 
         def skip_ground(diag, off, shift, width):
@@ -142,8 +144,78 @@ class TestLevelIteration:
             return values[1:], vectors[:, 1:]
 
         monkeypatch.setattr(_grid, "_start_block", skip_ground)
+        monkeypatch.setattr(_grid, "_index_shifts", lambda *args: np.array([10.0]))
         with pytest.raises(NumericalError, match="not certified"):
             solve_double_well(4.82, 0.12, 2, GridSpec(9.03, 0.01))
+
+    def test_index_shift_finds_the_skipped_level(self, monkeypatch):
+        spec = GridSpec(9.03, 0.01)
+        want = solve_double_well(4.82, 0.12, 2, spec)
+        start_block = _grid._start_block
+
+        def skip_ground(diag, off, shift, width):
+            values, vectors = start_block(diag, off, shift, width + 1)
+            return values[1:], vectors[:, 1:]
+
+        monkeypatch.setattr(_grid, "_start_block", skip_ground)
+        got = solve_double_well(4.82, 0.12, 2, spec)
+        assert np.max(np.abs(got.energies - want.energies)) <= 1e-12
+        assert np.max(np.abs(got.wavefunctions - want.wavefunctions)) <= 1e-8
+
+    def test_harmonic_levels_to_eight(self):
+        # E_n = n + 1/2 - (h^2/32)(2n^2 + 2n + 1) + O(h^4) for the three-point
+        # stencil (h^2/24 <p^4>); observed within 0.12% of that shift
+        h = 0.0015
+        levels = solve_double_well(0.0, 0.0, 8)
+        n = np.arange(8)
+        shift = h * h / 32.0 * (2 * n * n + 2 * n + 1)
+        assert np.all(np.abs(levels.energies - (n + 0.5)) <= 2.0 * shift)
+
+    def test_four_states_certified_where_the_start_block_misses(self):
+        # The 32 shapes at h = 0.01 (d 0-9 by 0.25, f 0-0.5 by 0.05) where the
+        # start block alone cannot certify 4 states; energies within 2 eps |H|
+        # of eigh_tridiagonal (observed at most 0.58 eps |H| over n = 1-12
+        # on all 407 shapes)
+        shapes = [(6.0, 0.5), (6.25, 0.5), (6.5, 0.5), (6.75, 0.45), (6.75, 0.5),
+                  (7.0, 0.45), (7.0, 0.5), (7.25, 0.45), (7.25, 0.5)]
+        shapes += [(d, f) for d in (7.5, 7.75, 8.0, 8.25, 8.5) for f in (0.4, 0.45, 0.5)]
+        shapes += [(d, f) for d in (8.75, 9.0) for f in (0.35, 0.4, 0.45, 0.5)]
+        for separation, tilt in shapes:
+            spec = default_grid(separation, tilt, 0.01)
+            levels = solve_double_well(separation, tilt, 4, spec)
+            x, h, v, diag, off = _stencil(separation, tilt, spec)
+            want = eigh_tridiagonal(diag, np.full(len(x) - 1, off), eigvals_only=True,
+                                    select="i", select_range=(0, 3))
+            unit = np.finfo(float).eps * (2.0 / (h * h) + float(v.max()))
+            assert np.max(np.abs(levels.energies - want)) <= 2.0 * unit
+
+    @pytest.mark.parametrize("spacing", [0.01, 0.0015])
+    @pytest.mark.parametrize("separation", [6.75, 7.0, 9.0])
+    def test_three_states_across_a_tilt_crossing(self, separation, spacing):
+        # f = 0.3: levels 2 and 3 are 0.025-0.7 apart, and the one spare
+        # start lands on neither
+        spec = default_grid(separation, 0.3, spacing)
+        levels = solve_double_well(separation, 0.3, 3, spec)
+        x, h, v, diag, off = _stencil(separation, 0.3, spec)
+        want = eigh_tridiagonal(diag, np.full(len(x) - 1, off), eigvals_only=True,
+                                select="i", select_range=(0, 2))
+        unit = np.finfo(float).eps * (2.0 / (h * h) + float(v.max()))
+        assert np.max(np.abs(levels.energies - want)) <= 2.0 * unit
+
+    @pytest.mark.parametrize("n_states", [1, 3])
+    def test_partner_within_the_count_margin(self, n_states):
+        # (12, 0): each doublet is narrower than the count margin, so the
+        # count at the top state's level is n_states + 1 and no count can
+        # split the pair; the top state is either member
+        spec = GridSpec(18.5, 0.01)
+        levels = solve_double_well(12.0, 0.0, n_states, spec)
+        x, h, v, diag, off = _stencil(12.0, 0.0, spec)
+        want = eigh_tridiagonal(diag, np.full(len(x) - 1, off), eigvals_only=True,
+                                select="i", select_range=(0, n_states))
+        margin = n_states * _grid._RESIDUAL * np.finfo(float).eps * (
+            float(np.max(np.abs(diag))) + 2.0 * abs(off))
+        assert want[n_states] - want[n_states - 1] <= margin
+        assert np.max(np.abs(levels.energies - want[:n_states])) <= margin
 
     @pytest.mark.parametrize(
         "separation,tilt,spec",
@@ -187,6 +259,24 @@ class TestLevelIteration:
         far = solve_double_well(separation, tilt, 4, GridSpec(
             0.5 * separation + abs(tilt) + 12.5, spacing))
         assert np.max(np.abs(near.energies - far.energies)) <= 1e-9
+
+
+    @pytest.mark.parametrize("separation,tilt", [(4.82, 0.12), (2.0, 0.05)])
+    def test_levels_insensitive_to_a_part_node_margin(self, separation, tilt):
+        # Margin 7 moves the walls by 333.33 nodes at h = 0.0015; rounded
+        # outward to whole spacings, the cusp at x = 0 stays a node.  Observed
+        # at most 7.7e-13 (6.4e-8 and 1.5e-7 with the cusp between nodes).
+        near = solve_double_well(separation, tilt, 4, default_grid(separation, tilt))
+        far = solve_double_well(separation, tilt, 4, GridSpec(
+            0.5 * separation + abs(tilt) + 7.0, 0.0015))
+        assert np.max(np.abs(near.energies - far.energies)) <= 1e-11
+
+    @pytest.mark.parametrize("spec", [GridSpec(9.03, 0.01), GridSpec(9.0301, 0.0015)])
+    def test_cusp_on_a_node(self, spec):
+        x = spec.points()
+        assert np.count_nonzero(x == 0.0) == 1
+        assert x[0] - spec.spacing <= -spec.half_width
+        assert x[-1] + spec.spacing >= spec.half_width
 
 
 @pytest.fixture(scope="module")
