@@ -2,22 +2,28 @@
 
 A resolved peak in a scanned spectrum is fit with a Lorentzian
 A (g/2)^2 / ((E - E0)^2 + (g/2)^2) + B over a window |E - E0| <= 5 g
-(half-max bracketing, then one re-estimation pass); a Gaussian of the
-same parameter count is fit on the same window for lineshape
-comparison.  The fit runs in peak-scaled coordinates, energies measured
-in units of the initial width estimate and responses relative to the
-peak value, so conditioning is independent of how narrow the resonance
-is.  Both fits run MINPACK's Levenberg-Marquardt (lmdif) through
-scipy.optimize.leastsq, with no covariance estimate: only the parameters
-are used.  A fit that does not converge, or a window with a non-finite
-sample, raises NumericalError.
+(half-max bracketing, then one re-estimation pass).  The fit runs in
+peak-scaled coordinates, energies measured in units of the initial width
+estimate and responses relative to the peak value, so conditioning is
+independent of how narrow the resonance is.  Fits run MINPACK's
+Levenberg-Marquardt (lmdif) through scipy.optimize.leastsq, with no
+covariance estimate: only the parameters are used.  A fit that does not
+converge, or a window with a non-finite sample, raises NumericalError.
 
-An independent width estimate comes from the matching-phase slope:
-a Breit-Wigner phase obeys theta(E0 + h) - theta(E0 - h) =
-2 atan(2h/g), so g = 2h / tan(h * slope) inverts the finite-difference
-slope exactly at any h/g.  The smooth background slope is measured from
-secants at 6-8 widths off center (with the analytic Breit-Wigner tail
-subtracted) and removed first.
+Two lineshape diagnostics are computed on first read of the Resonance,
+not by the fit, since the hold budget needs only the widths:
+
+- fit_residual_gauss scores a Gaussian of the same parameter count on
+  the final fit window;
+- gamma_phase is an independent width from the matching-phase slope:
+  a Breit-Wigner phase obeys theta(E0 + h) - theta(E0 - h) =
+  2 atan(2h/g), so g = 2h / tan(h * slope) inverts the finite-difference
+  slope exactly at any h/g.  The smooth background slope is measured
+  from secants at 6-8 widths off center (with the analytic Breit-Wigner
+  tail subtracted) and removed first.
+
+Their errors (a Gaussian fit that does not converge, a nonpositive or
+too steep phase slope) are raised at that first read.
 
 Survival of the quasi-bound state is computed two ways: directly as
 exp(-g t), and from the spectrum as |integral P(E) exp(iEt) dE|^2 over
@@ -28,7 +34,8 @@ two is a cross-check of the decay law, not a fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -58,12 +65,17 @@ MIN_FOURIER_WINDOW = 20.0
 class Resonance:
     """Fitted parameters of one quasi-bound level.
 
-    gamma is the Lorentzian FWHM and tau = 1/gamma the lifetime;
-    gamma_phase is the independent phase-slope estimate.  amplitude and
-    background are in response units (log_amplitude stays finite when
-    the peak response overflows).  For unresolved-narrow peaks (flagged
-    resolved=False) only center and the phase-slope width scale are
-    meaningful; the lineshape fields are NaN.
+    gamma is the Lorentzian FWHM and tau = 1/gamma the lifetime.
+    amplitude and background are in response units (log_amplitude stays
+    finite when the peak response overflows).  For unresolved-narrow
+    peaks (flagged resolved=False) only center and the phase-slope width
+    scale are meaningful; the lineshape fields are NaN.
+
+    gamma_phase (the independent phase-slope width) and
+    fit_residual_gauss (the Gaussian score of the final fit window) are
+    computed on first read from the trap and window the record keeps,
+    then cached; their NumericalError or DomainError is raised at that
+    read.  An unresolved record's gamma_phase is gamma itself.
     """
 
     e0: float
@@ -72,10 +84,25 @@ class Resonance:
     amplitude: float
     background: float
     fit_residual_lorentz: float
-    fit_residual_gauss: float
-    gamma_phase: float
     log_amplitude: float
     resolved: bool = True
+    # inputs of the lazy diagnostics: the trap, and the final fit window
+    # (xi, q) in peak-scaled coordinates
+    _trap: TrapSpec | None = field(default=None, compare=False, repr=False)
+    _window: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False)
+
+    @cached_property
+    def gamma_phase(self) -> float:
+        if not self.resolved:
+            return self.gamma
+        return phase_slope_width(self._trap, self.e0, self.gamma)
+
+    @cached_property
+    def fit_residual_gauss(self) -> float:
+        if not self.resolved:
+            return math.nan
+        return _fit(_gauss, *self._window, 1.0 / 2.3548)[1]
 
 
 def _lorentz(x, a, x0, w, b):
@@ -178,7 +205,9 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
 
     Raises WidthUnresolvedError for unresolved-narrow peaks, carrying
     the bisection-floor bracket as an upper bound on the width; use
-    from_phase_only for a flagged estimate in that case.
+    from_phase_only for a flagged estimate in that case.  Only the two
+    Lorentzian passes run here; the record's gamma_phase and
+    fit_residual_gauss are computed when first read.
     """
 
     peak = _peak(spectrum, peak_index)
@@ -207,15 +236,12 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
         q = np.exp(log_r - ref)
         (a, x0, w, b), res_l = _fit(_lorentz, xi, q, 1.0)
         e0, gamma = e0 + float(x0) * gamma, abs(float(w)) * gamma
-    # the Gaussian only scores the lineshape, on the final window
-    _, res_g = _fit(_gauss, xi, q, 1.0 / 2.3548)
 
     a, b = float(a), float(b)
     if gamma <= 0.0 or not math.isfinite(gamma):
         raise NumericalError(f"Lorentzian fit collapsed at {e0:g}")
 
     log_amp = math.log(a) + ref if a > 0.0 else -math.inf
-    gamma_phase = phase_slope_width(spectrum.trap, e0, gamma)
     return Resonance(
         e0=e0,
         gamma=gamma,
@@ -223,9 +249,9 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
         amplitude=a * math.exp(ref),
         background=b * math.exp(ref),
         fit_residual_lorentz=res_l,
-        fit_residual_gauss=res_g,
-        gamma_phase=gamma_phase,
         log_amplitude=log_amp,
+        _trap=spectrum.trap,
+        _window=(xi, q),
     )
 
 
@@ -252,8 +278,6 @@ def from_phase_only(spectrum: Spectrum, peak_index: int) -> Resonance:
         amplitude=nan,
         background=nan,
         fit_residual_lorentz=nan,
-        fit_residual_gauss=nan,
-        gamma_phase=width,
         log_amplitude=nan,
         resolved=False,
     )
@@ -286,6 +310,9 @@ def survival_from_spectrum(
     not from the stored scan samples.
     """
 
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0.0):
+        raise DomainError("time must be nonnegative")
     if window < MIN_FOURIER_WINDOW:
         raise DomainError(
             f"window {window:g} widths is below the minimum {MIN_FOURIER_WINDOW:g}"
@@ -318,9 +345,6 @@ def survival_from_spectrum(
     if norm <= 0.0 or not math.isfinite(norm):
         raise NumericalError("spectral norm integral failed")
 
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("time must be nonnegative")
     flat = np.atleast_1d(t_arr)
     out = np.array([transform(float(x)) / norm for x in flat])
     return float(out[0]) if t_arr.ndim == 0 else out

@@ -382,14 +382,19 @@ def _half_max_cross(e, log_r, i, direction, target):
 def _detect_resolved(e, log_r, phases, blocked):
     """Local response maxima with enough prominence and phase rise.
 
-    blocked holds centers of unresolved-narrow peaks; maxima within one
-    sample of those are skipped.  Returns (center, fwhm, lo, hi) tuples.
+    The maxima (above the left neighbor, not below the right one) are
+    found in one array comparison; saddles and half-max crossings are
+    walked from those alone, on Python floats.  blocked holds centers of
+    unresolved-narrow peaks; maxima within one sample of those are
+    skipped.  Returns (center, fwhm, lo, hi, left saddle, right saddle)
+    tuples.
     """
 
+    inner = log_r[1:-1]
+    maxima = np.flatnonzero((inner > log_r[:-2]) & (inner >= log_r[2:])) + 1
+    e, log_r, phases = e.tolist(), log_r.tolist(), phases.tolist()
     found = []
-    for i in range(1, len(e) - 1):
-        if not (log_r[i] > log_r[i - 1] and log_r[i] >= log_r[i + 1]):
-            continue
+    for i in maxima.tolist():
         left = i
         while left > 0 and log_r[left - 1] <= log_r[left]:
             left -= 1

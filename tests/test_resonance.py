@@ -8,6 +8,7 @@ Survival checks compare the spectral transform with the closed
 exponential at several times and document the Fourier truncation bound.
 """
 
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ import pytest
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from atomprep import resonance, scattering
+from atomprep.culling import culling_point
 from atomprep.errors import DomainError, NumericalError, WidthUnresolvedError
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.resonance import (
@@ -116,7 +118,8 @@ class TestFitAgainstCurveFit:
 
     @pytest.mark.parametrize("index", [0, 1])
     def test_fits_equal_curve_fit_bit_for_bit(self, fig_spectrum, index, monkeypatch):
-        # the two Lorentzian windows and the Gaussian one of each FIG peak
+        # the two Lorentzian windows of each FIG peak; the Gaussian one
+        # is fitted when fit_residual_gauss is first read
         calls = []
         fit = resonance._fit
 
@@ -125,7 +128,9 @@ class TestFitAgainstCurveFit:
             return fit(shape, xi, q, width0)
 
         monkeypatch.setattr(resonance, "_fit", recorded)
-        fit_lorentzian(fig_spectrum, index)
+        res = fit_lorentzian(fig_spectrum, index)
+        assert [c[0] for c in calls] == [resonance._lorentz] * 2
+        res.fit_residual_gauss
         assert [c[0] for c in calls] == [resonance._lorentz] * 2 + [resonance._gauss]
         for shape, xi, q, width0 in calls:
             p, residual = fit(shape, xi, q, width0)
@@ -149,6 +154,112 @@ class TestFitAgainstCurveFit:
         bad = Spectrum(sp.trap, sp.energies, np.exp(log_r), log_r, sp.phases, sp.peaks)
         with pytest.raises(NumericalError, match="non-finite sample in the fit window"):
             fit_lorentzian(bad, 0)
+
+
+def _eager_diagnostics(spectrum, index):
+    """gamma_phase and fit_residual_gauss as the fit used to compute them:
+    the fit window walked again from the peak, the Gaussian fitted on the
+    final one, the phase width probed at the final center and width."""
+
+    peak = spectrum.peaks[index]
+    e0, gamma = peak.center, peak.width_estimate
+    for _ in range(2):
+        sel = spectrum.window_slice(
+            max(e0 - resonance.FIT_WINDOW_WIDTHS * gamma, peak.territory[0]),
+            min(e0 + resonance.FIT_WINDOW_WIDTHS * gamma, peak.territory[1]),
+        )
+        log_r = spectrum.log_responses[sel]
+        xi = (spectrum.energies[sel] - e0) / gamma
+        q = np.exp(log_r - float(np.max(log_r)))
+        (_, x0, w, _), _ = resonance._fit(resonance._lorentz, xi, q, 1.0)
+        e0, gamma = e0 + float(x0) * gamma, abs(float(w)) * gamma
+    _, res_g = resonance._fit(resonance._gauss, xi, q, 1.0 / 2.3548)
+    return phase_slope_width(spectrum.trap, e0, gamma), res_g
+
+
+class _Untouchable:
+    """A window stand-in that fails any comparison or repr."""
+
+    def __eq__(self, other):
+        raise AssertionError("window compared")
+
+    def __repr__(self):
+        raise AssertionError("window printed")
+
+
+class TestLazyDiagnostics:
+    """gamma_phase and fit_residual_gauss are computed on first read."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # fits per shape and phase-width calls, counted through the
+        # module globals the fit and the properties use
+        counts = {"_lorentz": 0, "_gauss": 0, "phase_slope_width": 0}
+        fit, width = resonance._fit, resonance.phase_slope_width
+
+        def counted_fit(shape, *args):
+            counts[shape.__name__] += 1
+            return fit(shape, *args)
+
+        def counted_width(*args):
+            counts["phase_slope_width"] += 1
+            return width(*args)
+
+        monkeypatch.setattr(resonance, "_fit", counted_fit)
+        monkeypatch.setattr(resonance, "phase_slope_width", counted_width)
+        return counts
+
+    def test_culling_point_computes_no_diagnostics(self, counted):
+        culling_point(4.4, 0.5)
+        assert counted == {"_lorentz": 4, "_gauss": 0, "phase_slope_width": 0}
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_values_equal_eager_reconstruction(self, fig_spectrum, index):
+        res = fit_lorentzian(fig_spectrum, index)
+        gamma_phase, res_g = _eager_diagnostics(fig_spectrum, index)
+        assert res.gamma_phase.hex() == gamma_phase.hex()
+        assert res.fit_residual_gauss.hex() == res_g.hex()
+
+    def test_second_read_does_not_recompute(self, fig_spectrum, counted):
+        res = fit_lorentzian(fig_spectrum, 0)
+        first = (res.gamma_phase, res.fit_residual_gauss)
+        assert counted == {"_lorentz": 2, "_gauss": 1, "phase_slope_width": 1}
+        assert (res.gamma_phase, res.fit_residual_gauss) == first
+        assert counted == {"_lorentz": 2, "_gauss": 1, "phase_slope_width": 1}
+
+    def test_steep_phase_slope_raises_on_read(self, fig_spectrum, monkeypatch):
+        # the probes of test_phase_slope_too_steep_for_probe_step
+        steep = np.array([3.14, 0.0, 0.0, 1.0, 0.0, 1.0])
+        monkeypatch.setattr(
+            scattering, "match_amplitude",
+            lambda spec, energies: SimpleNamespace(phase=steep),
+        )
+        res = fit_lorentzian(fig_spectrum, 0)
+        with pytest.raises(NumericalError, match="too steep for the probe step"):
+            res.gamma_phase
+
+    def test_unconverged_gaussian_raises_on_read(self, fig_spectrum, monkeypatch):
+        res = fit_lorentzian(fig_spectrum, 0)
+        monkeypatch.setattr(resonance, "leastsq", lambda *a, **k: (np.ones(4), 5))
+        with pytest.raises(NumericalError, match=r"gauss fit did not converge"):
+            res.fit_residual_gauss
+
+    def test_eq_and_repr_leave_the_window_alone(self, ground_res):
+        a = dataclasses.replace(ground_res, _window=_Untouchable())
+        b = dataclasses.replace(ground_res, _window=_Untouchable())
+        assert a == b == ground_res
+        text = repr(a)
+        assert "_window" not in text and "_trap" not in text
+        assert "gamma_phase" not in text
+
+    def test_phase_only_records_unchanged(self, deep_spectrum, counted):
+        res = from_phase_only(deep_spectrum, 0)
+        assert counted["phase_slope_width"] == 1
+        assert res.gamma_phase == res.gamma
+        assert math.isnan(res.fit_residual_gauss)
+        for name in ("amplitude", "background", "fit_residual_lorentz", "log_amplitude"):
+            assert math.isnan(getattr(res, name))
+        assert counted == {"_lorentz": 0, "_gauss": 0, "phase_slope_width": 1}
 
 
 class TestEstimatorAgreementGrid:
@@ -245,9 +356,16 @@ class TestSurvivalFromSpectrum:
         with pytest.raises(DomainError):
             survival_from_spectrum(FIG, ground_res, 1.0, window=250.0)
 
-    def test_negative_time_rejected(self, ground_res):
-        with pytest.raises(DomainError):
-            survival_from_spectrum(FIG, ground_res, -1.0, window=100.0)
+    def test_negative_time_rejected(self, ground_res, monkeypatch):
+        # before any matcher call: the t = 0 norm is not integrated first
+        calls = []
+        match = scattering.match_amplitude
+        monkeypatch.setattr(scattering, "match_amplitude",
+                            lambda *a: calls.append(a) or match(*a))
+        for t in (-1.0, np.array([0.0, -1.0])):
+            with pytest.raises(DomainError, match="time must be nonnegative"):
+                survival_from_spectrum(FIG, ground_res, t, window=100.0)
+        assert calls == []
 
 
 class TestTruncatedStateOverlap:

@@ -19,9 +19,13 @@ from atomprep import scattering
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.scattering import (
     _FLOAT_PATH_MAX,
+    _MIN_PHASE_RISE,
+    _MIN_PROMINENCE,
     PHASE_JUMP,
     RESOLUTION_FLOOR,
     _bisect,
+    _detect_resolved,
+    _half_max_cross,
     _Samples,
     _unwrap,
     energy_cap,
@@ -276,6 +280,114 @@ class TestScanSpectrum:
     def test_degenerate_window_rejected(self):
         with pytest.raises(DomainError):
             scan_spectrum(FIG, 0.9, 0.9)
+
+
+def _reference_detect(e, log_r, phases, blocked):
+    """The original per-sample peak detection loop over numpy arrays;
+    kept as the reference the one-pass detection must reproduce."""
+
+    found = []
+    for i in range(1, len(e) - 1):
+        if not (log_r[i] > log_r[i - 1] and log_r[i] >= log_r[i + 1]):
+            continue
+        left = i
+        while left > 0 and log_r[left - 1] <= log_r[left]:
+            left -= 1
+        right = i
+        while right < len(e) - 1 and log_r[right + 1] <= log_r[right]:
+            right += 1
+        saddle = max(log_r[left], log_r[right])
+        if log_r[i] - saddle < _MIN_PROMINENCE:
+            continue
+        if phases[right] - phases[left] < _MIN_PHASE_RISE:
+            continue
+        if any(abs(e[i] - b) < 64.0 * RESOLUTION_FLOOR for b in blocked):
+            continue
+        half = log_r[i] + math.log(0.5 * (1.0 + math.exp(saddle - log_r[i])))
+        lo = _half_max_cross(e, log_r, i, -1, half)
+        hi = _half_max_cross(e, log_r, i, +1, half)
+        found.append((e[i], hi - lo, lo, hi, e[left], e[right]))
+    return found
+
+
+def _bits(found):
+    return [tuple(float(x).hex() for x in peak) for peak in found]
+
+
+def _lorentz_line(center, width, n=101):
+    """Energies on [0, 1], log of a Lorentzian line, its Breit-Wigner phase."""
+    e = np.linspace(0.0, 1.0, n)
+    x = 2.0 * (e - center) / width
+    return e, -np.log1p(x * x), np.arctan(x)
+
+
+class TestDetectResolvedOnePass:
+    """The one-pass detection returns the reference loop's tuples bit for bit."""
+
+    def _same(self, e, log_r, phases, blocked=()):
+        got = _detect_resolved(e, log_r, phases, list(blocked))
+        want = _reference_detect(e, log_r, phases, list(blocked))
+        assert _bits(got) == _bits(want)
+        return got
+
+    def _scan_calls(self, monkeypatch, spec, e_min, e_max):
+        calls = []
+
+        def recorded(e, log_r, phases, blocked):
+            calls.append((e, log_r, phases, list(blocked)))
+            return _detect_resolved(e, log_r, phases, blocked)
+
+        monkeypatch.setattr(scattering, "_detect_resolved", recorded)
+        sp = scan_spectrum(spec, e_min, e_max)
+        assert len(calls) == 2  # before and after the dense peak grids
+        return sp, calls
+
+    def test_fig_scan(self, monkeypatch):
+        sp, calls = self._scan_calls(monkeypatch, FIG, 0.05, 1.5)
+        for args in calls:
+            assert len(self._same(*args)) == 2
+        assert len(sp.peaks) == 2
+
+    def test_three_peak_map_shape(self, monkeypatch):
+        spec = TrapSpec(5.0, 0.3)
+        sp, calls = self._scan_calls(monkeypatch, spec, *scan_window(spec))
+        for args in calls:
+            assert len(self._same(*args)) == 3
+        assert len(sp.peaks) == 3
+
+    def test_plateau_of_equal_neighbors(self):
+        e, log_r, phases = _lorentz_line(0.5, 0.05)
+        log_r[49:52] = log_r[50]  # a flat top: the maximum is its first sample
+        log_r[30:33] = log_r[31]  # a flat step on the flank
+        found = self._same(e, log_r, phases)
+        assert [peak[0] for peak in found] == [e[49]]
+
+    @pytest.mark.parametrize("offset,kept", [(0.0, False), (1e-11, False), (1e-9, True)])
+    def test_blocked_center(self, offset, kept):
+        e, log_r, phases = _lorentz_line(0.5, 0.05)
+        found = self._same(e, log_r, phases, [e[50] + offset])
+        assert len(found) == int(kept)
+
+    @pytest.mark.parametrize("index", [1, 99])
+    def test_maxima_next_to_window_ends(self, index):
+        # a tent one sample from an end, with a phase step of 2 across it
+        k = np.arange(101)
+        e, log_r = np.linspace(0.0, 1.0, 101), -np.abs(k - index).astype(float)
+        phases = np.where(k > index, 2.0, 0.0)
+        assert len(self._same(e, log_r, phases)) == 1
+        # a flat top reaching the end sample is no peak
+        log_r[0 if index == 1 else 100] = 0.0
+        assert self._same(e, log_r, phases) == []
+
+    def test_random_ties(self):
+        # integer levels make plateaus and tied saddles everywhere
+        rng = np.random.default_rng(7)
+        for n in (0, 1, 2, 3, 5, 40):
+            for _ in range(50):
+                e = np.sort(rng.uniform(0.0, 1.0, n))
+                log_r = rng.integers(0, 4, n).astype(float)
+                phases = np.cumsum(rng.uniform(0.0, 1.0, n))
+                self._same(e, log_r, phases)
 
 
 class TestPhaseTheorem:
