@@ -289,33 +289,13 @@ def _unwrap(raw: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate((raw[:1], _wrap(np.diff(raw)))))
 
 
-class _Samples:
-    """Sorted sample store of one scan: energies, log-responses, raw phases."""
-
-    def __init__(self, spec: TrapSpec):
-        self.spec = spec
-        self.energies = self.log_r = self.raw = np.empty(0)
-
-    def add(self, energies: np.ndarray) -> np.ndarray:
-        """Match new energies in one call, merge them in; their raw phases."""
-        m = match_amplitude(self.spec, energies)
-        merged = np.concatenate((self.energies, energies))
-        order = np.argsort(merged, kind="stable")
-        self.energies = merged[order]
-        self.log_r = np.concatenate((self.log_r, m.log_response))[order]
-        self.raw = np.concatenate((self.raw, m.phase))[order]
-        return m.phase
-
-    def arrays(self):
-        return self.energies, self.log_r, _unwrap(self.raw)
-
-
-def _bisect(samples: _Samples, lo, hi, p_lo, p_hi) -> list:
+def _bisect(match, lo, hi, p_lo, p_hi) -> list:
     """Bisect the intervals [lo, hi] until phase steps drop below PHASE_JUMP.
 
     Level-synchronous: every interval of a level whose endpoint phases
-    p_lo, p_hi still step by more than PHASE_JUMP is split in one
-    matching call.  Whether an interval is split depends only on its
+    p_lo, p_hi still step by more than PHASE_JUMP is split in one call of
+    match, which matches an array of energies, keeps them and returns
+    their raw phases.  Whether an interval is split depends only on its
     endpoint phases, so the sampled energies are those of bisecting each
     interval depth-first.  Intervals that reach the floor (or machine
     spacing) with a surviving jump are returned as markers
@@ -334,11 +314,10 @@ def _bisect(samples: _Samples, lo, hi, p_lo, p_hi) -> list:
         if not split.any():
             return markers
         lo, mid, hi, p_lo, p_hi = lo[split], mid[split], hi[split], p_lo[split], p_hi[split]
-        p_mid = samples.add(mid)
-        # halves in energy order: (lo, mid), (mid, hi) per split interval
-        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
-        p_lo = np.column_stack((p_lo, p_mid)).ravel()
-        p_hi = np.column_stack((p_mid, p_hi)).ravel()
+        p_mid = match(mid)
+        # the left halves of all split intervals, then the right halves
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        p_lo, p_hi = np.concatenate((p_lo, p_mid)), np.concatenate((p_mid, p_hi))
 
 
 def _merge_markers(markers: list, floor: float) -> list[Peak]:
@@ -430,6 +409,8 @@ def scan_spectrum(
     jumps surviving at the floor become unresolved-narrow peaks.  Each
     resolved peak then receives a dense uniform local grid spanning
     PEAK_GRID_SPAN half-widths on each side for later lineshape fitting.
+    Matched samples are kept in matching order and sorted by energy
+    once before the first detection pass and once after the peak grids.
 
     The base grid must be fine enough to separate neighboring
     resonances (one phase jump per interval); level spacing in this trap
@@ -450,10 +431,23 @@ def scan_spectrum(
     if base_points < 2:
         raise DomainError("base_points must be at least 2")
 
-    samples = _Samples(spec)
+    # (energies, log-responses, raw phases) per matcher call; no energy is
+    # matched twice, so a read's sort has a single answer
+    chunks = []
+
+    def match(energies: np.ndarray) -> np.ndarray:
+        m = match_amplitude(spec, energies)
+        chunks.append((energies, m.log_response, m.phase))
+        return m.phase
+
+    def read():
+        e, log_r, raw = (np.concatenate(field) for field in zip(*chunks))
+        order = np.argsort(e)
+        return e[order], log_r[order], _unwrap(raw[order])
+
     base = np.linspace(e_min, e_max, base_points)
-    raw = samples.add(base)
-    markers = _bisect(samples, base[:-1], base[1:], raw[:-1], raw[1:])
+    raw = match(base)
+    markers = _bisect(match, base[:-1], base[1:], raw[:-1], raw[1:])
 
     narrow = _merge_markers(markers, RESOLUTION_FLOOR)
     blocked = [p.center for p in narrow]
@@ -461,7 +455,7 @@ def scan_spectrum(
     # First detection pass on the refined grid, then a dense local grid
     # around each candidate so the fit window is well sampled; all grids
     # are matched in one call.
-    e, log_r, phases = samples.arrays()
+    e, log_r, phases = read()
     grids = []
     for center, width, _, _, _, _ in _detect_resolved(e, log_r, phases, blocked):
         width = max(width, 8.0 * RESOLUTION_FLOOR)
@@ -469,9 +463,9 @@ def scan_spectrum(
         hi = min(center + PEAK_GRID_SPAN * width, e_max)
         grids.append(np.linspace(lo, hi, PEAK_GRID_POINTS))
     if grids:
-        samples.add(np.setdiff1d(np.concatenate(grids), samples.energies))
+        match(np.setdiff1d(np.concatenate(grids), e))
+        e, log_r, phases = read()
 
-    e, log_r, phases = samples.arrays()
     resolved = [
         Peak(
             center=c,

@@ -201,7 +201,9 @@ def propagate(
     not fit the grid or is not orthonormal, a psi0 outside its span, or
     an absorber with a Drive raise ConfigurationError.  Survival is the
     weighted norm over survival_bounds (the full grid when None),
-    sampled at at least min_samples times.  dt must not exceed MAX_DT.
+    sampled at at least min_samples times.  dt must not exceed MAX_DT;
+    t_final is split into round(t_final / dt) equal steps, or into just
+    enough more that none exceeds MAX_DT.
     All inputs are checked before the first step: a non-finite t_final,
     or non-finite values in psi0, the potential, a Drive's profiles,
     basis or weights, or the absorber raise DomainError (a weight names
@@ -249,6 +251,8 @@ def propagate(
         return float(_grid.integral(grid, h, np.abs(values) ** 2, bounds))
 
     n_steps = max(1, int(round(t_final / dt))) if t_final > 0.0 else 0
+    while n_steps and t_final / n_steps > MAX_DT:  # round() rounded down
+        n_steps += 1
     if t_final > 0.0 and n_steps + 1 < min_samples:
         raise ConfigurationError(
             f"{n_steps} steps cannot yield {min_samples} survival samples; "

@@ -19,6 +19,8 @@ from atomprep import scattering
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.scattering import (
     _FLOAT_PATH_MAX,
+    PEAK_GRID_POINTS,
+    PEAK_GRID_SPAN,
     _MIN_PHASE_RISE,
     _MIN_PROMINENCE,
     PHASE_JUMP,
@@ -26,8 +28,9 @@ from atomprep.scattering import (
     _bisect,
     _detect_resolved,
     _half_max_cross,
-    _Samples,
+    _merge_markers,
     _unwrap,
+    _wrap,
     energy_cap,
     exterior_wave,
     interior_wave,
@@ -259,11 +262,19 @@ class TestScanSpectrum:
                 continue
             phase[mid] = match_amplitude(FIG, mid).phase
             stack += [(lo, mid), (mid, hi)]
-        samples = _Samples(FIG)
-        raw = samples.add(base)
-        _bisect(samples, base[:-1], base[1:], raw[:-1], raw[1:])
-        assert np.array_equal(samples.energies, sorted(phase))
-        assert np.array_equal(samples.raw, [phase[e] for e in sorted(phase)])
+        chunks = []
+
+        def match(energies):
+            raw = match_amplitude(FIG, energies).phase
+            chunks.append((energies, raw))
+            return raw
+
+        raw = match(base)
+        _bisect(match, base[:-1], base[1:], raw[:-1], raw[1:])
+        energies, raw = (np.concatenate(field) for field in zip(*chunks))
+        order = np.argsort(energies)
+        assert np.array_equal(energies[order], sorted(phase))
+        assert np.array_equal(raw[order], [phase[e] for e in sorted(phase)])
 
     def test_vector_unwrap_equals_sequential_unwrap(self):
         raw = np.random.default_rng(3).uniform(-math.pi, math.pi, 500)
@@ -280,6 +291,117 @@ class TestScanSpectrum:
     def test_degenerate_window_rejected(self):
         with pytest.raises(DomainError):
             scan_spectrum(FIG, 0.9, 0.9)
+
+
+class _ReferenceSamples:
+    """The sample store kept sorted after every matcher call; kept as the
+    reference the once-per-read sort of scan_spectrum must reproduce."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.energies = self.log_r = self.raw = np.empty(0)
+
+    def add(self, energies):
+        m = scattering.match_amplitude(self.spec, energies)
+        merged = np.concatenate((self.energies, energies))
+        order = np.argsort(merged, kind="stable")
+        self.energies = merged[order]
+        self.log_r = np.concatenate((self.log_r, m.log_response))[order]
+        self.raw = np.concatenate((self.raw, m.phase))[order]
+        return m.phase
+
+
+def _reference_bisect(samples, lo, hi, p_lo, p_hi):
+    """Level-synchronous bisection that keeps each level's halves in
+    energy order, interleaved per split interval."""
+
+    markers = []
+    while True:
+        step = _wrap(p_hi - p_lo)
+        jump = np.abs(step) > PHASE_JUMP
+        mid = 0.5 * (lo + hi)
+        floored = (hi - lo <= RESOLUTION_FLOOR) | (mid <= lo) | (mid >= hi)
+        stop = jump & floored
+        markers.extend(zip(lo[stop], hi[stop], step[stop]))
+        split = jump & ~floored
+        if not split.any():
+            return markers
+        lo, mid, hi, p_lo, p_hi = lo[split], mid[split], hi[split], p_lo[split], p_hi[split]
+        p_mid = samples.add(mid)
+        lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        p_lo = np.column_stack((p_lo, p_mid)).ravel()
+        p_hi = np.column_stack((p_mid, p_hi)).ravel()
+
+
+def _reference_scan(spec, e_min, e_max, base_points=160):
+    """scan_spectrum on the always-sorted store: (energies, log-responses,
+    unwrapped phases, peaks)."""
+
+    samples = _ReferenceSamples(spec)
+    base = np.linspace(e_min, e_max, base_points)
+    raw = samples.add(base)
+    narrow = _merge_markers(
+        _reference_bisect(samples, base[:-1], base[1:], raw[:-1], raw[1:]), RESOLUTION_FLOOR
+    )
+    blocked = [p.center for p in narrow]
+    grids = []
+    for center, width, _, _, _, _ in _detect_resolved(
+        samples.energies, samples.log_r, _unwrap(samples.raw), blocked
+    ):
+        width = max(width, 8.0 * RESOLUTION_FLOOR)
+        lo = max(center - PEAK_GRID_SPAN * width, e_min)
+        hi = min(center + PEAK_GRID_SPAN * width, e_max)
+        grids.append(np.linspace(lo, hi, PEAK_GRID_POINTS))
+    if grids:
+        samples.add(np.setdiff1d(np.concatenate(grids), samples.energies))
+    e, log_r, phases = samples.energies, samples.log_r, _unwrap(samples.raw)
+    resolved = [
+        scattering.Peak(center=c, resolved=True, width_estimate=w, window=(lo, hi),
+                        territory=(t_lo, t_hi))
+        for c, w, lo, hi, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked)
+    ]
+    return e, log_r, phases, sorted(resolved + narrow, key=lambda p: p.center)
+
+
+def _peak_bits(peak):
+    return (peak.resolved,) + tuple(
+        float(x).hex()
+        for x in (peak.center, peak.width_estimate, *peak.window, *peak.territory)
+    )
+
+
+class TestSampleStoreEquivalence:
+    """The chunked store, sorted once per read, gives the always-sorted
+    store's spectrum bit for bit from the same matcher calls."""
+
+    @pytest.mark.parametrize("spec,window,n_peaks,n_narrow", [
+        (FIG, scan_window(FIG), 2, 0),
+        (TrapSpec(12.0, 0.01), (0.3, 3.0), 3, 3),
+        (TrapSpec(5.0, 0.3), scan_window(TrapSpec(5.0, 0.3)), 3, 0),
+        (FIG, (0.55, 0.9), 0, 0),
+    ], ids=["fig-culling-window", "deep-unresolved", "three-peak-map-cell", "empty"])
+    def test_spectrum_bitwise_equal(self, spec, window, n_peaks, n_narrow, monkeypatch):
+        calls = []
+
+        def recorded(spec, energy):
+            calls.append(np.sort(energy))
+            return match_amplitude(spec, energy)
+
+        monkeypatch.setattr(scattering, "match_amplitude", recorded)
+        sp = scan_spectrum(spec, *window)
+        got_calls, calls[:] = calls[:], []
+        e, log_r, phases, peaks = _reference_scan(spec, *window)
+
+        assert len(got_calls) == len(calls)
+        for got, want in zip(got_calls, calls):
+            assert np.array_equal(got, want)
+        for got, want in [(sp.energies, e), (sp.log_responses, log_r), (sp.phases, phases),
+                          (sp.responses, np.exp(log_r))]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert [_peak_bits(p) for p in sp.peaks] == [_peak_bits(p) for p in peaks]
+        assert len(peaks) == n_peaks
+        assert sum(not p.resolved for p in peaks) == n_narrow
 
 
 def _reference_detect(e, log_r, phases, blocked):

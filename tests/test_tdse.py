@@ -221,6 +221,22 @@ class TestPropagate:
         with pytest.raises(ConfigurationError):
             propagate(psi0, 0.5 * grid * grid, MAX_DT + 1e-3, 1.0)
 
+    @pytest.mark.parametrize("dt,t_final,n_steps", [
+        (0.02, 0.05, 3),  # round(2.5) = 2 steps of 0.025 would exceed MAX_DT
+        (0.02, 400.0, 20000),  # an exact multiple keeps its count
+        (0.015, 0.05, 3),  # rounded down, but 0.05 / 3 is within MAX_DT
+        (0.004, 2.0, 500),
+    ])
+    def test_steps_never_exceed_max_dt(self, dt, t_final, n_steps, monkeypatch):
+        calls = []
+        monkeypatch.setattr(_grid, "crank_nicolson",
+                            lambda psi, h, step, n, *rest: calls.append((step, n)) or iter(()))
+        psi0, grid = _harmonic_ground()
+        propagate(psi0, 0.5 * grid * grid, dt, t_final, min_samples=2)
+        [(step, n)] = calls
+        assert n == n_steps
+        assert step <= MAX_DT
+
     def test_sample_budget_enforced(self):
         psi0, grid = _harmonic_ground()
         with pytest.raises(ConfigurationError):
