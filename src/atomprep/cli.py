@@ -216,16 +216,20 @@ def _cmd_spectrum(cfg: RunConfig):
 
 
 def _cmd_resonances(cfg: RunConfig):
-    _, sp = _scan(cfg)
+    spec, sp = _scan(cfg)
     rows, meta = [], []
     for k, pk in enumerate(sp.peaks):
         if pk.resolved:
             res = resonance.fit_lorentzian(sp, k)
+            rows.append((res.e0, res.gamma, res.tau, res.gamma_phase,
+                         res.fit_residual_lorentz, res.fit_residual_gauss))
         else:
-            res = resonance.from_phase_only(sp, k)
-        rows.append((res.e0, res.gamma, res.tau, res.gamma_phase,
-                     res.fit_residual_lorentz, res.fit_residual_gauss))
-        meta.append({"e0": res.e0, "gamma": res.gamma, "resolved": res.resolved})
+            # no line to fit: the phase-slope width probed at the
+            # resolution floor bounds the width; no lineshape residuals
+            probe = max(pk.width_estimate, scattering.RESOLUTION_FLOOR)
+            w = resonance.phase_slope_width(spec, pk.center, probe)
+            rows.append((pk.center, w, 1.0 / w, w, math.nan, math.nan))
+        meta.append({"e0": rows[-1][0], "gamma": rows[-1][1], "resolved": pk.resolved})
     out = cfg.out
     write_csv(
         out,
@@ -511,8 +515,16 @@ def _build_config(name: str, ns: argparse.Namespace) -> RunConfig:
         out = COMMANDS[name].out
         if values.get("format") == "json":
             out = out.replace(".csv", ".json")
+    elif not isinstance(out, str):
+        raise ConfigurationError(f"parameter out must be a file path, got {out!r}")
+    out = Path(out)
+    # checked here, so a bad path exits 2 before any computation
+    if not out.parent.is_dir() or out.is_dir():
+        raise ConfigurationError(
+            f"output {out} must name a file in an existing directory"
+        )
     return RunConfig(subcommand=name, params=params, values=values,
-                     out=Path(out), out_given=out_given)
+                     out=out, out_given=out_given)
 
 
 def run(argv) -> int:

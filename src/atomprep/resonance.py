@@ -9,6 +9,9 @@ independent of how narrow the resonance is.  Fits run MINPACK's
 Levenberg-Marquardt (lmdif) through scipy.optimize.leastsq, with no
 covariance estimate: only the parameters are used.  A fit that does not
 converge, or a window with a non-finite sample, raises NumericalError.
+A Resonance is always such a fitted line.  An unresolved-narrow peak has
+none: fit_lorentzian raises WidthUnresolvedError, and phase_slope_width
+probed at the scan's resolution floor bounds its width instead.
 
 Two lineshape diagnostics are computed on first read of the Resonance,
 not by the fit, since the hold budget needs only the widths:
@@ -28,7 +31,8 @@ too steep phase slope) are raised at that first read.
 Survival of the quasi-bound state is computed two ways: directly as
 exp(-g t), and from the spectrum as |integral P(E) exp(iEt) dE|^2 over
 a window of >= 20 widths, normalized to 1 at t = 0.  Agreement of the
-two is a cross-check of the decay law, not a fit.
+two is a cross-check of the decay law, not a fit.  Both raise
+DomainError for a negative, NaN or infinite time.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from scipy.integrate import quad
 from scipy.optimize import leastsq
 
 from . import scattering
+from ._arrays import first_failing
 from .errors import DomainError, NumericalError, WidthUnresolvedError
 from .potential import TrapSpec
 from .scattering import Spectrum
@@ -63,45 +68,40 @@ MIN_FOURIER_WINDOW = 20.0
 
 @dataclass(frozen=True)
 class Resonance:
-    """Fitted parameters of one quasi-bound level.
+    """Fitted Lorentzian line of one resolved quasi-bound level.
 
     gamma is the Lorentzian FWHM and tau = 1/gamma the lifetime.
     amplitude and background are in response units (log_amplitude stays
-    finite when the peak response overflows).  For unresolved-narrow
-    peaks (flagged resolved=False) only center and the phase-slope width
-    scale are meaningful; the lineshape fields are NaN.
+    finite when the peak response overflows).
 
     gamma_phase (the independent phase-slope width) and
     fit_residual_gauss (the Gaussian score of the final fit window) are
     computed on first read from the trap and window the record keeps,
     then cached; their NumericalError or DomainError is raised at that
-    read.  An unresolved record's gamma_phase is gamma itself.
+    read.
     """
 
     e0: float
     gamma: float
-    tau: float
     amplitude: float
     background: float
     fit_residual_lorentz: float
     log_amplitude: float
-    resolved: bool = True
     # inputs of the lazy diagnostics: the trap, and the final fit window
     # (xi, q) in peak-scaled coordinates
-    _trap: TrapSpec | None = field(default=None, compare=False, repr=False)
-    _window: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, compare=False, repr=False)
+    _trap: TrapSpec = field(compare=False, repr=False)
+    _window: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
+
+    @property
+    def tau(self) -> float:
+        return 1.0 / self.gamma
 
     @cached_property
     def gamma_phase(self) -> float:
-        if not self.resolved:
-            return self.gamma
         return phase_slope_width(self._trap, self.e0, self.gamma)
 
     @cached_property
     def fit_residual_gauss(self) -> float:
-        if not self.resolved:
-            return math.nan
         return _fit(_gauss, *self._window, 1.0 / 2.3548)[1]
 
 
@@ -191,26 +191,21 @@ def _fit(shape, xi, q, width0):
     return p, float(np.sqrt(np.mean((shape(xi, *p) - q) ** 2))) / abs(p[0])
 
 
-def _peak(spectrum: Spectrum, peak_index: int):
-    """The indexed peak; negative or too large indices raise DomainError."""
-    if not 0 <= peak_index < len(spectrum.peaks):
-        raise DomainError(
-            f"peak_index {peak_index} out of range ({len(spectrum.peaks)} peaks)"
-        )
-    return spectrum.peaks[peak_index]
-
-
 def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
     """Fit one resolved peak of a scanned spectrum.
 
     Raises WidthUnresolvedError for unresolved-narrow peaks, carrying
-    the bisection-floor bracket as an upper bound on the width; use
-    from_phase_only for a flagged estimate in that case.  Only the two
+    the bisection-floor bracket as an upper bound on the width, and
+    DomainError for a negative or too large peak_index.  Only the two
     Lorentzian passes run here; the record's gamma_phase and
     fit_residual_gauss are computed when first read.
     """
 
-    peak = _peak(spectrum, peak_index)
+    if not 0 <= peak_index < len(spectrum.peaks):
+        raise DomainError(
+            f"peak_index {peak_index} out of range ({len(spectrum.peaks)} peaks)"
+        )
+    peak = spectrum.peaks[peak_index]
     if not peak.resolved:
         raise WidthUnresolvedError(
             f"peak at {peak.center:.12g} is narrower than the scan resolution floor",
@@ -245,7 +240,6 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
     return Resonance(
         e0=e0,
         gamma=gamma,
-        tau=1.0 / gamma,
         amplitude=a * math.exp(ref),
         background=b * math.exp(ref),
         fit_residual_lorentz=res_l,
@@ -255,40 +249,19 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
     )
 
 
-def from_phase_only(spectrum: Spectrum, peak_index: int) -> Resonance:
-    """Flagged width estimate for an unresolved-narrow peak.
-
-    The returned gamma is the phase-slope value probed at the resolution
-    floor; it is an upper-bound scale, not a fitted linewidth, and the
-    lineshape fields are NaN.
-    """
-
-    peak = _peak(spectrum, peak_index)
-    if peak.resolved:
-        raise DomainError(
-            f"peak at {peak.center:.12g} is resolved; use fit_lorentzian"
-        )
-    probe = max(peak.width_estimate, scattering.RESOLUTION_FLOOR)
-    width = phase_slope_width(spectrum.trap, peak.center, probe)
-    nan = math.nan
-    return Resonance(
-        e0=peak.center,
-        gamma=width,
-        tau=1.0 / width,
-        amplitude=nan,
-        background=nan,
-        fit_residual_lorentz=nan,
-        log_amplitude=nan,
-        resolved=False,
-    )
+def _times(t) -> np.ndarray:
+    """t as a float array; a negative, NaN or infinite time raises DomainError."""
+    t = np.asarray(t, dtype=float)
+    ok = (t >= 0.0) & (t < math.inf)
+    if not ok.all():
+        raise DomainError(f"time must be nonnegative and finite, got {first_failing(t, ok)}")
+    return t
 
 
 def survival_exponential(res: Resonance, t):
     """Decay-law survival exp(-gamma t); t may be a scalar or array."""
 
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError("time must be nonnegative")
+    t = _times(t)
     out = np.exp(-res.gamma * t)
     return float(out) if out.ndim == 0 else out
 
@@ -310,9 +283,7 @@ def survival_from_spectrum(
     not from the stored scan samples.
     """
 
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("time must be nonnegative")
+    t_arr = _times(t)
     if window < MIN_FOURIER_WINDOW:
         raise DomainError(
             f"window {window:g} widths is below the minimum {MIN_FOURIER_WINDOW:g}"

@@ -233,19 +233,18 @@ def exterior_wave(result: MatchResult, spec: TrapSpec, x: float) -> float:
 class Peak:
     """One detected resonance candidate in a scanned spectrum.
 
-    resolved peaks carry a half-max FWHM estimate and the span of their
-    dense local sample grid; unresolved-narrow peaks (phase jump still
-    above pi/2 at the bisection floor) carry the floor bracket width as
-    an upper bound on the linewidth.  territory spans the bracketing
-    response minima: the energy range this peak dominates, which
-    lineshape fits must not leave (the neighboring peak may be orders of
-    magnitude taller).
+    resolved peaks carry a half-max FWHM estimate; unresolved-narrow
+    peaks (phase jump still above pi/2 at the bisection floor) carry the
+    floor bracket width as an upper bound on the linewidth.  territory
+    spans the bracketing response minima: the energy range this peak
+    dominates, which lineshape fits must not leave (the neighboring peak
+    may be orders of magnitude taller).  An unresolved peak's territory
+    is its floor bracket.
     """
 
     center: float
     resolved: bool
     width_estimate: float
-    window: tuple[float, float]
     territory: tuple[float, float]
 
 
@@ -255,15 +254,20 @@ class Spectrum:
 
     energies are strictly increasing; phases are unwrapped so that
     adjacent samples differ by less than pi/2 except across flagged
-    unresolved-narrow peaks.  Peaks are ordered by center.
+    unresolved-narrow peaks.  Peaks are ordered by center.  Only
+    log_responses is stored: responses, exp(log_responses), is derived
+    on each read (off-resonance values may underflow to 0).
     """
 
     trap: TrapSpec
     energies: np.ndarray
-    responses: np.ndarray
     log_responses: np.ndarray
     phases: np.ndarray
     peaks: tuple[Peak, ...]
+
+    @property
+    def responses(self) -> np.ndarray:
+        return np.exp(self.log_responses)
 
     def __len__(self) -> int:
         return len(self.energies)
@@ -338,7 +342,6 @@ def _merge_markers(markers: list, floor: float) -> list[Peak]:
                     center=0.5 * (lo + hi),
                     resolved=False,
                     width_estimate=hi - lo,
-                    window=(lo, hi),
                     territory=(lo, hi),
                 )
             )
@@ -365,8 +368,7 @@ def _detect_resolved(e, log_r, phases, blocked):
     found in one array comparison; saddles and half-max crossings are
     walked from those alone, on Python floats.  blocked holds centers of
     unresolved-narrow peaks; maxima within one sample of those are
-    skipped.  Returns (center, fwhm, lo, hi, left saddle, right saddle)
-    tuples.
+    skipped.  Returns (center, fwhm, left saddle, right saddle) tuples.
     """
 
     inner = log_r[1:-1]
@@ -392,7 +394,7 @@ def _detect_resolved(e, log_r, phases, blocked):
         half = log_r[i] + math.log(0.5 * (1.0 + math.exp(saddle - log_r[i])))
         lo = _half_max_cross(e, log_r, i, -1, half)
         hi = _half_max_cross(e, log_r, i, +1, half)
-        found.append((e[i], hi - lo, lo, hi, e[left], e[right]))
+        found.append((e[i], hi - lo, e[left], e[right]))
     return found
 
 
@@ -457,7 +459,7 @@ def scan_spectrum(
     # are matched in one call.
     e, log_r, phases = read()
     grids = []
-    for center, width, _, _, _, _ in _detect_resolved(e, log_r, phases, blocked):
+    for center, width, _, _ in _detect_resolved(e, log_r, phases, blocked):
         width = max(width, 8.0 * RESOLUTION_FLOOR)
         lo = max(center - PEAK_GRID_SPAN * width, e_min)
         hi = min(center + PEAK_GRID_SPAN * width, e_max)
@@ -467,23 +469,8 @@ def scan_spectrum(
         e, log_r, phases = read()
 
     resolved = [
-        Peak(
-            center=c,
-            resolved=True,
-            width_estimate=w,
-            window=(lo, hi),
-            territory=(t_lo, t_hi),
-        )
-        for c, w, lo, hi, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked)
+        Peak(center=c, resolved=True, width_estimate=w, territory=(t_lo, t_hi))
+        for c, w, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked)
     ]
-
-    responses = np.exp(log_r)
     peaks = tuple(sorted(resolved + narrow, key=lambda p: p.center))
-    return Spectrum(
-        trap=spec,
-        energies=e,
-        responses=responses,
-        log_responses=log_r,
-        phases=phases,
-        peaks=peaks,
-    )
+    return Spectrum(trap=spec, energies=e, log_responses=log_r, phases=phases, peaks=peaks)

@@ -1,10 +1,12 @@
 """Special functions for the barrier-matching solver.
 
-Thin, domain-checked wrappers around scipy.special for the Airy pair,
-Kummer's M and log-gamma, plus a Hermite function of arbitrary real degree
-built from them.  The scaled Airy pair and the Hermite pair take a
-float or an array; an array is evaluated element by element in one call,
-with the same arithmetic as a float.  The Hermite function is the
+Domain-checked Airy pairs (plain and exp-scaled) and a Hermite function
+of arbitrary real degree, built on scipy.special's hyp1f1, hyperu and
+rgamma.  The scaled Airy pair and the Hermite pair take a float or an
+array; an array is evaluated element by element in one call, with the
+same arithmetic as a float.  The plain pair (airy, behind
+scattering.exterior_wave) and airy_wronskian_residual are cross-checks;
+the scan uses the scaled pair.  The Hermite function is the
 decaying-at-+infinity solution of Hermite's equation
 
     H'' - 2 x H' + 2 degree H = 0,
@@ -36,7 +38,6 @@ from ._arrays import all_of, as_floats, first_failing, where
 from .errors import DomainError
 
 AIRY_ARG_MAX = 200.0
-KUMMER_ARG_MAX = 400.0
 HERMITE_DEGREE_MIN = -1.0
 HERMITE_DEGREE_MAX = 30.0
 HERMITE_ARG_MAX = 15.0
@@ -107,30 +108,6 @@ def airy_scaled(s):
     pair[:, ~scaled] = _sp.airy(s[~scaled])
     chi = np.where(scaled, (2.0 / 3.0) * s * np.sqrt(np.abs(s)), 0.0)
     return ScaledAiryPair(*pair, chi)
-
-
-def kummer_m(a: float, b: float, x: float) -> float:
-    """Kummer's confluent hypergeometric M(a, b, x), |x| <= 400.
-
-    b must not be zero or a negative integer (poles of M).
-    """
-    for name, v in (("a", a), ("b", b), ("x", x)):
-        if not math.isfinite(v):
-            raise DomainError(f"kummer_m {name} must be finite, got {v}")
-    if b <= 0.0 and b == round(b):
-        raise DomainError(f"kummer_m b must not be a non-positive integer, got {b}")
-    if abs(x) > KUMMER_ARG_MAX:
-        raise DomainError(f"kummer_m |x| <= {KUMMER_ARG_MAX}, got {x}")
-    return float(_sp.hyp1f1(a, b, x))
-
-
-def log_gamma(x: float) -> tuple[float, float]:
-    """(log |Gamma(x)|, sign of Gamma(x)); sign = 0 at the poles."""
-    if not math.isfinite(x):
-        raise DomainError(f"log_gamma argument must be finite, got {x}")
-    if x <= 0.0 and x == round(x):
-        return math.inf, 0.0
-    return float(_sp.gammaln(x)), float(_sp.gammasgn(x))
 
 
 def _m_rungs(degree, x, down):

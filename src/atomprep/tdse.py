@@ -130,17 +130,10 @@ def truncated_resonance_state(
     the grid, zeroed outside [-size/2, size/2], and normalized under the
     trap-interval grid integral (the same integral later used for
     survival, which therefore starts at exactly 1).  res may be a fitted
-    Resonance (must be resolved) or a bare center energy.
+    Resonance or a bare center energy.
     """
 
-    if isinstance(res, Resonance):
-        if not res.resolved:
-            raise DomainError(
-                "unresolved-narrow resonance has no usable center lineshape"
-            )
-        energy = res.e0
-    else:
-        energy = float(res)
+    energy = res.e0 if isinstance(res, Resonance) else float(res)
     half = 0.5 * spec.size
     if grid[0] > -half or grid[-1] < half:
         raise ConfigurationError(

@@ -403,6 +403,24 @@ class TestConfigKeys:
         assert not (tmp_path / "fidelity_map.csv").exists()
 
 
+    def test_out_must_be_a_path_string(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"out": 5}))
+        assert cli.run(["dfg-estimates", "--config", "cfg.json"]) == 2
+        assert "parameter out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "cfg.json"]
+
+    @pytest.mark.parametrize("out", ["missing/dfg.json", "."])
+    def test_out_needs_an_existing_directory(self, capsys, tmp_path, monkeypatch, out):
+        # checked before any computation: dfg-estimates prints no result
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(["dfg-estimates", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "existing directory" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("atomprep")

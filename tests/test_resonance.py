@@ -9,6 +9,7 @@ exponential at several times and document the Fourier truncation bound.
 """
 
 import dataclasses
+import json
 import math
 import warnings
 from types import SimpleNamespace
@@ -17,13 +18,12 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from atomprep import resonance, scattering
+from atomprep import cli, resonance, scattering
 from atomprep.culling import culling_point
 from atomprep.errors import DomainError, NumericalError, WidthUnresolvedError
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.resonance import (
     fit_lorentzian,
-    from_phase_only,
     phase_slope_width,
     survival_exponential,
     survival_from_spectrum,
@@ -42,13 +42,11 @@ def _synthetic_lorentzian(e0=0.4, gamma=1e-3, amp=1.0, background=0.0):
         center=e0,
         resolved=True,
         width_estimate=gamma,
-        window=(e0 - 8.0 * gamma, e0 + 8.0 * gamma),
         territory=(float(energies[0]), float(energies[-1])),
     )
     return Spectrum(
         trap=FIG,
         energies=energies,
-        responses=responses,
         log_responses=np.log(responses),
         phases=np.zeros_like(energies),
         peaks=(peak,),
@@ -74,7 +72,6 @@ class TestFitLorentzian:
 
     def test_reference_ground_peak(self, ground_res):
         assert ground_res.e0 == pytest.approx(0.366, abs=0.015)
-        assert ground_res.resolved
         assert ground_res.tau == pytest.approx(1.0 / ground_res.gamma, rel=1e-12)
         # lineshape ordering seen in the reference trap
         assert ground_res.fit_residual_lorentz < ground_res.fit_residual_gauss
@@ -151,7 +148,7 @@ class TestFitAgainstCurveFit:
         sp = _synthetic_lorentzian()
         log_r = sp.log_responses.copy()
         log_r[1000] = math.nan  # the peak sample, inside every fit window
-        bad = Spectrum(sp.trap, sp.energies, np.exp(log_r), log_r, sp.phases, sp.peaks)
+        bad = Spectrum(sp.trap, sp.energies, log_r, sp.phases, sp.peaks)
         with pytest.raises(NumericalError, match="non-finite sample in the fit window"):
             fit_lorentzian(bad, 0)
 
@@ -252,15 +249,6 @@ class TestLazyDiagnostics:
         assert "_window" not in text and "_trap" not in text
         assert "gamma_phase" not in text
 
-    def test_phase_only_records_unchanged(self, deep_spectrum, counted):
-        res = from_phase_only(deep_spectrum, 0)
-        assert counted["phase_slope_width"] == 1
-        assert res.gamma_phase == res.gamma
-        assert math.isnan(res.fit_residual_gauss)
-        for name in ("amplitude", "background", "fit_residual_lorentz", "log_amplitude"):
-            assert math.isnan(getattr(res, name))
-        assert counted == {"_lorentz": 0, "_gauss": 0, "phase_slope_width": 1}
-
 
 class TestEstimatorAgreementGrid:
     POINTS = [(4.4, 0.5), (4.6, 0.55), (4.8, 0.5), (5.0, 0.55), (5.2, 0.45), (5.2, 0.5)]
@@ -280,22 +268,26 @@ class TestUnresolvedPeaks:
             fit_lorentzian(deep_spectrum, 0)
         assert err.value.width_upper_bound <= 1e-10
 
-    def test_phase_only_fallback(self, deep_spectrum):
-        res = from_phase_only(deep_spectrum, 0)
-        assert not res.resolved
-        assert res.e0 == deep_spectrum.peaks[0].center
-        assert res.gamma > 0 and res.gamma == res.gamma_phase
-        assert math.isnan(res.amplitude)
-
-    def test_phase_only_rejects_resolved(self, fig_spectrum):
-        with pytest.raises(DomainError):
-            from_phase_only(fig_spectrum, 0)
-
-    def test_phase_only_index_out_of_range(self, deep_spectrum):
-        # a DomainError, not a bare IndexError
-        for index in (-1, len(deep_spectrum.peaks)):
-            with pytest.raises(DomainError, match="out of range"):
-                from_phase_only(deep_spectrum, index)
+    def test_phase_only_fallback(self, tmp_path):
+        # the resonances CLI writes an unresolved line as its phase-slope
+        # bound at the resolution floor, with no lineshape residuals; the
+        # (5.4, 0.3) window holds an unresolved ground line and two
+        # resolved lines
+        out = tmp_path / "res.csv"
+        window = ["--emin", "0.02", "--emax", "3.0"]
+        assert cli.run(["resonances", "--z", "5.4", "--f", "0.3", *window,
+                        "--out", str(out)]) == 0
+        spec = TrapSpec(5.4, 0.3)
+        ground = scan_spectrum(spec, 0.02, 3.0).peaks[0]
+        assert not ground.resolved
+        w = phase_slope_width(
+            spec, ground.center, max(ground.width_estimate, scattering.RESOLUTION_FLOOR))
+        row = ",".join(cli.FLOAT_FMT % v for v in (ground.center, w, 1.0 / w, w))
+        assert out.read_text().splitlines()[1] == row + ",nan,nan"
+        manifest = json.loads((tmp_path / "res.manifest.json").read_text())
+        lines = manifest["results"]["resonances"]
+        assert [r["resolved"] for r in lines] == [False, True, True]
+        assert (lines[0]["e0"], lines[0]["gamma"]) == (ground.center, w)
 
 
 class TestSurvivalExponential:
@@ -311,8 +303,9 @@ class TestSurvivalExponential:
         assert survival_exponential(ground_res, t) == pytest.approx(1e-5, rel=1e-12)
 
     def test_negative_time_rejected(self, ground_res):
-        with pytest.raises(DomainError):
-            survival_exponential(ground_res, -0.1)
+        for t in (-0.1, math.nan, math.inf, np.array([0.0, math.nan])):
+            with pytest.raises(DomainError):
+                survival_exponential(ground_res, t)
 
     def test_vectorized(self, ground_res):
         out = survival_exponential(ground_res, np.array([0.0, ground_res.tau]))
@@ -362,7 +355,7 @@ class TestSurvivalFromSpectrum:
         match = scattering.match_amplitude
         monkeypatch.setattr(scattering, "match_amplitude",
                             lambda *a: calls.append(a) or match(*a))
-        for t in (-1.0, np.array([0.0, -1.0])):
+        for t in (-1.0, np.array([0.0, -1.0]), math.nan, math.inf, np.array([0.0, math.inf])):
             with pytest.raises(DomainError, match="time must be nonnegative"):
                 survival_from_spectrum(FIG, ground_res, t, window=100.0)
         assert calls == []

@@ -209,9 +209,9 @@ class TestScanSpectrum:
 
     def test_peak_metadata_nested(self, fig_spectrum):
         for pk in fig_spectrum.peaks:
-            w_lo, w_hi = pk.window
+            half = 0.5 * pk.width_estimate
             t_lo, t_hi = pk.territory
-            assert t_lo <= w_lo < pk.center < w_hi <= t_hi
+            assert t_lo < pk.center - half < pk.center < pk.center + half < t_hi
             assert pk.width_estimate > 0
 
     def test_samples_sorted_and_consistent(self, fig_spectrum):
@@ -345,7 +345,7 @@ def _reference_scan(spec, e_min, e_max, base_points=160):
     )
     blocked = [p.center for p in narrow]
     grids = []
-    for center, width, _, _, _, _ in _detect_resolved(
+    for center, width, _, _ in _detect_resolved(
         samples.energies, samples.log_r, _unwrap(samples.raw), blocked
     ):
         width = max(width, 8.0 * RESOLUTION_FLOOR)
@@ -356,9 +356,8 @@ def _reference_scan(spec, e_min, e_max, base_points=160):
         samples.add(np.setdiff1d(np.concatenate(grids), samples.energies))
     e, log_r, phases = samples.energies, samples.log_r, _unwrap(samples.raw)
     resolved = [
-        scattering.Peak(center=c, resolved=True, width_estimate=w, window=(lo, hi),
-                        territory=(t_lo, t_hi))
-        for c, w, lo, hi, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked)
+        scattering.Peak(center=c, resolved=True, width_estimate=w, territory=(t_lo, t_hi))
+        for c, w, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked)
     ]
     return e, log_r, phases, sorted(resolved + narrow, key=lambda p: p.center)
 
@@ -366,7 +365,7 @@ def _reference_scan(spec, e_min, e_max, base_points=160):
 def _peak_bits(peak):
     return (peak.resolved,) + tuple(
         float(x).hex()
-        for x in (peak.center, peak.width_estimate, *peak.window, *peak.territory)
+        for x in (peak.center, peak.width_estimate, *peak.territory)
     )
 
 
@@ -428,7 +427,7 @@ def _reference_detect(e, log_r, phases, blocked):
         half = log_r[i] + math.log(0.5 * (1.0 + math.exp(saddle - log_r[i])))
         lo = _half_max_cross(e, log_r, i, -1, half)
         hi = _half_max_cross(e, log_r, i, +1, half)
-        found.append((e[i], hi - lo, lo, hi, e[left], e[right]))
+        found.append((e[i], hi - lo, e[left], e[right]))
     return found
 
 

@@ -137,80 +137,6 @@ class TestAiryScaled:
             assert tuple(f[i] for f in pair) == tuple(sf.airy_scaled(float(x)))
 
 
-class TestKummer:
-    @pytest.mark.parametrize("a,b", [(0.3, 0.7), (-1.2, 2.5), (3.0, 4.0), (-0.05, 0.5)])
-    def test_value_at_zero_argument(self, a, b):
-        assert sf.kummer_m(a, b, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-    @pytest.mark.parametrize("x", [-5.0, 0.1, 3.0, 120.0])
-    def test_exponential_identity(self, x):
-        assert _rel(sf.kummer_m(1.0, 1.0, x), math.exp(x)) < 1e-10
-
-    @pytest.mark.parametrize("x", [0.3, 1.1, 2.0])
-    def test_terminating_series(self, x):
-        assert _rel(sf.kummer_m(-1.0, 0.5, x * x), 1.0 - 2.0 * x * x) < 1e-12
-
-    @pytest.mark.parametrize(
-        "a,b,x",
-        [
-            (-0.35, 0.5, 1.44),
-            (0.85, 1.5, 6.25),
-            (-2.5, 0.5, 9.0),
-            (1.3, 2.7, -8.0),
-            (0.2, 0.9, 55.0),
-        ],
-    )
-    def test_against_mpmath(self, a, b, x):
-        want = float(mpmath.hyp1f1(a, b, x))
-        assert _rel(sf.kummer_m(a, b, x), want) < 1e-9
-
-    def test_pole_in_b(self):
-        with pytest.raises(DomainError):
-            sf.kummer_m(0.5, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            sf.kummer_m(0.5, -3.0, 1.0)
-        # negative non-integer b is fine
-        assert math.isfinite(sf.kummer_m(0.5, -2.5, 1.0))
-
-    def test_argument_cap(self):
-        with pytest.raises(DomainError):
-            sf.kummer_m(1.0, 1.0, 400.5)
-        with pytest.raises(DomainError):
-            sf.kummer_m(1.0, 1.0, math.nan)
-
-
-class TestLogGamma:
-    def test_positive_values(self):
-        val, sign = sf.log_gamma(5.0)
-        assert _rel(val, math.log(24.0)) < 1e-14
-        assert sign == 1.0
-        val, sign = sf.log_gamma(0.5)
-        assert _rel(val, 0.5 * math.log(math.pi)) < 1e-14
-        assert sign == 1.0
-
-    def test_reflection_region_signs(self):
-        # Gamma(-1.5) = 4 sqrt(pi)/3 > 0; Gamma(-0.5) = -2 sqrt(pi) < 0
-        val, sign = sf.log_gamma(-1.5)
-        assert sign == 1.0
-        assert _rel(val, math.log(4.0 * math.sqrt(math.pi) / 3.0)) < 1e-13
-        val, sign = sf.log_gamma(-0.5)
-        assert sign == -1.0
-        assert _rel(val, math.log(2.0 * math.sqrt(math.pi))) < 1e-13
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -7.0])
-    def test_poles_flagged(self, x):
-        val, sign = sf.log_gamma(x)
-        assert val == math.inf
-        assert sign == 0.0
-
-    @pytest.mark.parametrize("x", [0.3, 2.7, -2.3, -7.8, 12.5])
-    def test_against_mpmath(self, x):
-        val, sign = sf.log_gamma(x)
-        ref = mpmath.gamma(x)
-        assert sign == (1.0 if ref > 0 else -1.0)
-        assert _rel(val, float(mpmath.log(abs(ref)))) < 1e-12
-
-
 class TestHermite:
     @pytest.mark.parametrize("x", [0.0, 1.0, 2.5])
     def test_degree_two_polynomial(self, x):
