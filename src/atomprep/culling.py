@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, TrapShapeError, WidthUnresolvedError
 from .potential import TrapSpec, trap_geometry
 from .resonance import Resonance, fit_lorentzian
-from .scattering import energy_cap, scan_spectrum
+from .scattering import energy_cap, scan_spectra, scan_spectrum
 from .units import UnitSystem
 
 RESIDUAL_DEFAULT = 1e-5
@@ -44,6 +44,15 @@ STATUS_ERROR = "error"
 # Passed through reports; restoring the depth is modeled as a static
 # endpoint, trusted while the lowered trap still holds this much energy.
 RESTORE_DEPTH_THRESHOLD = 1.5
+
+# A fidelity map scans its bound cells in blocks of at most this many,
+# in lock step (scattering.scan_spectra).  Larger blocks pay the matcher's
+# fixed per-call cost less often but hold more energies per call.  On a
+# 13 x 9 grid with 72 bound cells the map's allocation peak (tracemalloc)
+# is 0.13 MiB scanning cell by cell, and 0.63, 1.03, 1.57 and 2.28 MiB in
+# blocks of 8, 16, 24 and 36; its best time on a 2-core x86 host falls
+# from 0.235 s to 0.197, 0.152, 0.153 and 0.145 s.
+MAP_BLOCK_CELLS = 16
 
 
 def _check_target(residual_target: float) -> None:
@@ -149,9 +158,17 @@ def culling_point(
     """
     _check_target(residual_target)
     spec = TrapSpec(size, tilt)
-    lo, hi = scan_window(spec)
-    spectrum = scan_spectrum(spec, lo, hi)
+    window = scan_window(spec)
+    return _point(scan_spectrum(spec, *window), window, residual_target)
+
+
+def _point(spectrum, window: tuple[float, float], residual_target: float) -> CullingPoint:
+    """The CullingPoint of a trap scanned over window: fits its two lowest
+    peaks.  Raises culling_point's TrapShapeError, or the fits'
+    NumericalError."""
+    size, tilt = spectrum.trap.size, spectrum.trap.tilt
     if len(spectrum.peaks) < 2:
+        lo, hi = window
         raise TrapShapeError(
             f"trap (size={size}, tilt={tilt}) shows {len(spectrum.peaks)} "
             f"resonance(s) in ({lo:.3g}, {hi:.3g}); need the two lowest"
@@ -243,17 +260,27 @@ class FidelityMap:
         }
 
 
-def _point_task(args) -> MapCell:
-    """Evaluate one map cell.  culling_point's documented failures become an
-    error cell so the sweep completes; any other exception propagates."""
-    size, tilt, residual_target = args
-    if not excited_state_bound(TrapSpec(size, tilt)):
-        return MapCell(size, tilt, STATUS_OUT_OF_RANGE)
-    try:
-        point = culling_point(size, tilt, residual_target)
-    except (TrapShapeError, NumericalError) as exc:
-        return MapCell(size, tilt, STATUS_ERROR, note=f"{type(exc).__name__}: {exc}")
-    return MapCell(size, tilt, STATUS_OK, point)
+def _scan_block(task) -> list:
+    """Map cells of one block of bound trap shapes, scanned in lock step.
+
+    task is (specs, residual_target).  A cell whose scan or fits raise
+    culling_point's TrapShapeError or NumericalError becomes an error cell
+    with the note that culling_point's exception gives; any other
+    exception propagates.
+    """
+    specs, residual_target = task
+    windows = [scan_window(spec) for spec in specs]
+    scans = scan_spectra([(spec, *window) for spec, window in zip(specs, windows)])
+    cells = []
+    for spec, window, scanned in zip(specs, windows, scans):
+        try:
+            if isinstance(scanned, NumericalError):
+                raise scanned
+            cell = MapCell(spec.size, spec.tilt, STATUS_OK, _point(scanned, window, residual_target))
+        except (TrapShapeError, NumericalError) as exc:
+            cell = MapCell(spec.size, spec.tilt, STATUS_ERROR, note=f"{type(exc).__name__}: {exc}")
+        cells.append(cell)
+    return cells
 
 
 def fidelity_map(
@@ -264,11 +291,14 @@ def fidelity_map(
     residual_target: float = RESIDUAL_DEFAULT,
     workers: int = 1,
 ) -> FidelityMap:
-    """Sweep culling_point over a (size, tilt) grid.
+    """culling_point over a (size, tilt) grid.
 
     Cells whose estimated excited level is unbound are flagged out of range
-    without scanning; cells where culling_point raises TrapShapeError or
-    NumericalError carry an error status and the message, and any other
+    without scanning.  The bound cells are split into interleaved blocks of
+    at most MAP_BLOCK_CELLS, and each block is scanned in lock step
+    (scattering.scan_spectra); every cell's point equals culling_point's
+    bit for bit.  Cells where culling_point would raise TrapShapeError or
+    NumericalError carry an error status and its message, and any other
     exception propagates.  The map holds one MapCell per grid point in row
     order, so the output is identical for any worker count.
 
@@ -283,7 +313,8 @@ def fidelity_map(
         Excited-state residual the holding time is chosen against.
     workers : int
         Process count for the sweep, >= 1; 1 runs in-process.  At most
-        one process per cell and per CPU is started.
+        one process per block and per CPU is started, each scanning whole
+        blocks; a grid without a bound cell starts none.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -299,15 +330,23 @@ def fidelity_map(
         for f in (f_grid[0], f_grid[-1]):
             TrapSpec(float(z), float(f))
 
-    tasks = [
-        (float(z), float(f), residual_target) for z in z_grid for f in f_grid
-    ]
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    specs = [TrapSpec(float(z), float(f)) for z in z_grid for f in f_grid]
+    cells = [MapCell(spec.size, spec.tilt, STATUS_OUT_OF_RANGE) for spec in specs]
+    bound = [k for k, spec in enumerate(specs) if excited_state_bound(spec)]
+    n = len(bound)
+    workers = max(1, min(workers, n, os.cpu_count() or 1))
+    # interleaved blocks, so each one mixes cells from the whole grid
+    n_blocks = min(n, workers * math.ceil(n / (workers * MAP_BLOCK_CELLS)))
+    blocks = [bound[b::n_blocks] for b in range(n_blocks)]
+    tasks = [([specs[k] for k in block], residual_target) for block in blocks]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_point_task, tasks, chunksize=4))
+            done = list(pool.map(_scan_block, tasks, chunksize=1))
     else:
-        cells = [_point_task(t) for t in tasks]
+        done = [_scan_block(task) for task in tasks]
+    for block, block_cells in zip(blocks, done):
+        for k, cell in zip(block, block_cells):
+            cells[k] = cell
     return FidelityMap(z_grid, f_grid, cells, residual_target)
 
 

@@ -19,12 +19,19 @@ All matching arithmetic runs in exp-scaled Airy variables so that deep
 barriers (scaling exponents of order 1e4) neither overflow nor lose the
 phase step.  Off-resonance response values may underflow to zero as
 floats; ``log_response`` stays exact.
+
+A matcher call has a fixed cost of a few energies' worth, so
+``scan_spectra`` scans a block of traps in lock step: one call matches
+the open intervals of a bisection level across all of them, each energy
+with its own trap's scalars, and every trap gets the spectrum its own
+``scan_spectrum`` gives, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,10 +60,11 @@ _MIN_PHASE_RISE = 0.3 * math.pi
 PEAK_GRID_SPAN = 8.0
 PEAK_GRID_POINTS = 96
 # Arrays of at most this many energies are matched element by element on
-# the float path.  A matcher call costs a fixed ~175 us as an array and
-# ~28 us per energy as floats (2-core x86 host, scan energies of map
-# cells): 1 energy 176 against 29 us, 6 energies 197 against 165 us,
-# break-even at about 8.  Deep bisection levels carry 1-3 energies.
+# the float path.  A one-trap matcher call costs a fixed ~200 us as an
+# array and ~30 us per energy as floats (2-core x86 host, scan energies of
+# map cells): 1 energy 202 against 33 us, 6 energies 219 against 182 us,
+# break-even at about 8.  Deep bisection levels of a one-trap scan carry
+# 1-3 energies; a block of traps carries more until its last traps finish.
 _FLOAT_PATH_MAX = 6
 
 
@@ -83,18 +91,48 @@ def interior_wave(spec: TrapSpec, energy, x=None):
     """
 
     energy = as_floats(energy)
-    shelf = 0.125 * spec.size * spec.size
+    _check_below_shelf(energy, 0.125 * spec.size * spec.size)
+    u = (spec.edge if x is None else as_floats(x)) + spec.tilt
+    return _interior(energy + 0.5 * spec.tilt * spec.tilt - 0.5, u, np.exp(-0.5 * u * u))
+
+
+def _check_below_shelf(energy, shelf) -> None:
     below = (energy > -math.inf) & (energy < shelf)
     if not all_of(below):
         raise DomainError(
             f"energy {first_failing(energy, below):g} not finite or at or above the "
-            f"exterior shelf {shelf:g}; interior solution capped there"
+            f"exterior shelf {first_failing(shelf, below):g}; interior solution capped there"
         )
-    u = (spec.edge if x is None else as_floats(x)) + spec.tilt
-    nu = energy + 0.5 * spec.tilt * spec.tilt - 0.5
+
+
+def _interior(nu, u, g):
+    """g H_nu(u) and its x-derivative g (H_nu'(u) - u H_nu(u)), g = exp(-u^2/2)."""
     h, dh = specfun.hermite_pair(nu, u)
-    g = np.exp(-0.5 * u * u)
     return g * h, g * (dh - u * h)
+
+
+class _Trap(NamedTuple):
+    """The matcher's per-trap scalars.
+
+    Python floats for one trap.  A block of traps gathers those same
+    floats into arrays, one element per energy, so each element runs the
+    arithmetic of its own trap bit for bit.
+    """
+
+    tilt: float
+    edge: float
+    shelf: float  # exterior shelf size^2/8
+    u: float  # Hermite argument at the edge, edge + tilt
+    nu_shift: float  # tilt^2/2: the Hermite degree is E + nu_shift - 1/2
+    g: float  # exp(-u^2/2)
+    sigma: float  # Airy scale (2 tilt)^(1/3)
+
+    @classmethod
+    def of(cls, spec: TrapSpec) -> _Trap:
+        u = spec.edge + spec.tilt
+        return cls(float(spec.tilt), spec.edge, 0.125 * spec.size * spec.size, u,
+                   0.5 * spec.tilt * spec.tilt, float(np.exp(-0.5 * u * u)),
+                   (2.0 * spec.tilt) ** (1.0 / 3.0))
 
 
 @dataclass(frozen=True)
@@ -147,8 +185,7 @@ def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
     """
 
     energy = as_floats(energy)
-    if spec.tilt == 0.0:
-        raise DomainError("zero tilt: exterior is flat, no open channel to match")
+    _check_tilt(spec)
     # the exterior ramp V = size^2/8 + f*x meets the barrier top at the edge
     shelf = 0.125 * spec.size * spec.size
     top = shelf + spec.tilt * spec.edge + SCAN_CAP_MARGIN
@@ -159,22 +196,39 @@ def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
             f"(0, {top:g})"
         )
 
-    if isinstance(energy, np.ndarray) and 0 < energy.size <= _FLOAT_PATH_MAX:
-        each = [_match(spec, e) for e in energy.ravel().tolist()]
-        return MatchResult(energy, *(np.array(f).reshape(energy.shape) for f in zip(*each)))
-    return MatchResult(energy, *_match(spec, energy))
+    return MatchResult(energy, *_matched(_Trap.of(spec), energy))
 
 
-def _match(spec: TrapSpec, energy):
+def _check_tilt(spec: TrapSpec) -> None:
+    if spec.tilt == 0.0:
+        raise DomainError("zero tilt: exterior is flat, no open channel to match")
+
+
+def _matched(trap: _Trap, energy):
+    """_match on checked energies; an array of at most _FLOAT_PATH_MAX
+    energies runs each element on the float path, with its trap's floats."""
+
+    if not (isinstance(energy, np.ndarray) and 0 < energy.size <= _FLOAT_PATH_MAX):
+        return _match(trap, energy)
+    if isinstance(trap.g, np.ndarray):  # a block: one trap per energy
+        traps = [_Trap(*row) for row in np.transpose(trap).tolist()]
+    else:
+        traps = [trap] * energy.size
+    each = [_match(t, e) for t, e in zip(traps, energy.ravel().tolist())]
+    return tuple(np.array(f).reshape(energy.shape) for f in zip(*each))
+
+
+def _match(trap: _Trap, energy):
     """match_amplitude's arithmetic on checked energies: the MatchResult
-    fields after energy, as floats for a float and arrays for an array."""
+    fields after energy, as floats for a float and arrays for an array.
+    trap holds floats, or arrays of energy's shape (a block of traps)."""
 
-    shelf = 0.125 * spec.size * spec.size
-    value, deriv = interior_wave(spec, energy)
+    _check_below_shelf(energy, trap.shelf)
+    value, deriv = _interior(energy + trap.nu_shift - 0.5, trap.u, trap.g)
 
-    sigma = (2.0 * spec.tilt) ** (1.0 / 3.0)
-    turning = (energy - shelf) / spec.tilt
-    s_edge = sigma * (spec.edge - turning)
+    sigma = trap.sigma
+    turning = (energy - trap.shelf) / trap.tilt
+    s_edge = sigma * (trap.edge - turning)
     ai_e, aip_e, bi_e, bip_e, chi = specfun.airy_scaled(s_edge)
 
     # Scaled Wronskian check; the exp factors cancel identically.
@@ -293,17 +347,19 @@ def _unwrap(raw: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate((raw[:1], _wrap(np.diff(raw)))))
 
 
-def _bisect(match, lo, hi, p_lo, p_hi) -> list:
+def _bisect(match, lo, hi, p_lo, p_hi, trap) -> list:
     """Bisect the intervals [lo, hi] until phase steps drop below PHASE_JUMP.
 
     Level-synchronous: every interval of a level whose endpoint phases
     p_lo, p_hi still step by more than PHASE_JUMP is split in one call of
-    match, which matches an array of energies, keeps them and returns
-    their raw phases.  Whether an interval is split depends only on its
-    endpoint phases, so the sampled energies are those of bisecting each
-    interval depth-first.  Intervals that reach the floor (or machine
-    spacing) with a surviving jump are returned as markers
-    (lo, hi, wrapped_step).
+    match(energies, trap), which matches each energy on the trap of its
+    interval (trap holds one trap index per interval), keeps them and
+    returns their raw phases.  Whether an interval is split depends only
+    on its endpoint phases, so the sampled energies are those of
+    bisecting each interval depth-first, whatever other traps share the
+    call; a NaN phase (a trap whose matching failed) stops its interval.
+    Intervals that reach the floor (or machine spacing) with a surviving
+    jump are returned as markers (trap, lo, hi, wrapped_step).
     """
 
     markers = []
@@ -313,15 +369,17 @@ def _bisect(match, lo, hi, p_lo, p_hi) -> list:
         mid = 0.5 * (lo + hi)
         floored = (hi - lo <= RESOLUTION_FLOOR) | (mid <= lo) | (mid >= hi)
         stop = jump & floored
-        markers.extend(zip(lo[stop], hi[stop], step[stop]))
+        markers.extend(zip(trap[stop].tolist(), lo[stop], hi[stop], step[stop]))
         split = jump & ~floored
         if not split.any():
             return markers
         lo, mid, hi, p_lo, p_hi = lo[split], mid[split], hi[split], p_lo[split], p_hi[split]
-        p_mid = match(mid)
+        trap = trap[split]
+        p_mid = match(mid, trap)
         # the left halves of all split intervals, then the right halves
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         p_lo, p_hi = np.concatenate((p_lo, p_mid)), np.concatenate((p_mid, p_hi))
+        trap = np.concatenate((trap, trap))
 
 
 def _merge_markers(markers: list, floor: float) -> list[Peak]:
@@ -417,60 +475,148 @@ def scan_spectrum(
     The base grid must be fine enough to separate neighboring
     resonances (one phase jump per interval); level spacing in this trap
     family is of order 1, so the default is ample for windows a few
-    units wide.
+    units wide.  This is scan_spectra on one trap: one match_amplitude
+    call for the base grid, one per bisection level and one for the peak
+    grids; a NumericalError of any of them is raised.
     """
 
-    if not (math.isfinite(e_min) and math.isfinite(e_max)):
-        raise DomainError("scan window must be finite")
-    if not 0.0 < e_min < e_max:
-        raise DomainError(f"need 0 < e_min < e_max, got [{e_min:g}, {e_max:g}]")
-    cap = energy_cap(spec)
-    if e_max >= cap:
-        raise DomainError(
-            f"e_max {e_max:g} at or above the usable cap {cap:g} "
-            f"for size={spec.size:g}, tilt={spec.tilt:g}"
-        )
+    (spectrum,) = scan_spectra([(spec, e_min, e_max)], base_points)
+    if isinstance(spectrum, NumericalError):
+        raise spectrum
+    return spectrum
+
+
+def scan_spectra(windows, base_points: int = 160) -> list:
+    """Scan several traps in lock step, windows holding (spec, e_min, e_max).
+
+    Runs scan_spectrum's scan on every trap at once: one matcher call
+    matches all base grids, one each bisection level (the open intervals
+    of every trap) and one all peak grids, so a block of traps pays a
+    call's fixed cost once per level instead of once per trap.  Returns,
+    per trap, the Spectrum that scan_spectrum(spec, e_min, e_max,
+    base_points) returns, bit for bit, or the NumericalError that
+    stopped that trap's scan.
+
+    A call that carries the energies of one trap is that trap's
+    match_amplitude call.  When a call of several traps raises
+    NumericalError, its energies are matched again trap by trap, as
+    match_amplitude calls; a trap whose call raises is retired with that
+    error, which is the one its scan alone raises, and the other traps go
+    on.  A DomainError propagates.
+    """
+
+    for spec, e_min, e_max in windows:
+        if not (math.isfinite(e_min) and math.isfinite(e_max)):
+            raise DomainError("scan window must be finite")
+        if not 0.0 < e_min < e_max:
+            raise DomainError(f"need 0 < e_min < e_max, got [{e_min:g}, {e_max:g}]")
+        cap = energy_cap(spec)
+        if e_max >= cap:
+            raise DomainError(
+                f"e_max {e_max:g} at or above the usable cap {cap:g} "
+                f"for size={spec.size:g}, tilt={spec.tilt:g}"
+            )
     if base_points < 2:
         raise DomainError("base_points must be at least 2")
-
-    # (energies, log-responses, raw phases) per matcher call; no energy is
-    # matched twice, so a read's sort has a single answer
+    for spec, _, _ in windows:
+        _check_tilt(spec)
+    n = len(windows)
+    if n == 0:
+        return []
+    specs = [spec for spec, _, _ in windows]
+    # the per-trap scalars as rows, gathered per energy by trap index
+    columns = np.array([_Trap.of(spec) for spec in specs]).T.copy()
+    failed = {}  # trap index -> the NumericalError that retired it
+    # (energies, trap indices, log-responses, raw phases) per matcher call;
+    # no energy of a trap is matched twice, so a read's sort has a single
+    # answer
     chunks = []
 
-    def match(energies: np.ndarray) -> np.ndarray:
-        m = match_amplitude(spec, energies)
-        chunks.append((energies, m.log_response, m.phase))
+    def match_one(energies: np.ndarray, trap: np.ndarray) -> np.ndarray:
+        """match for energies of one trap: that trap's match_amplitude call.
+        Apart from match so that no closure refers to itself: that cycle
+        would keep the block's samples until the next garbage collection."""
+        t = int(trap[0])
+        try:
+            m = match_amplitude(specs[t], energies)
+        except NumericalError as exc:
+            failed[t] = exc
+            return np.full(len(energies), np.nan)
+        chunks.append((energies, trap, m.log_response, m.phase))
         return m.phase
 
-    def read():
-        e, log_r, raw = (np.concatenate(field) for field in zip(*chunks))
-        order = np.argsort(e)
-        return e[order], log_r[order], _unwrap(raw[order])
+    def match(energies: np.ndarray, trap: np.ndarray) -> np.ndarray:
+        """Match energies[i] on trap[i] and keep the samples; returns the
+        raw phases, NaN on the energies of a trap this call retired."""
+        if n == 1 or (trap == trap[0]).all():
+            return match_one(energies, trap)
+        try:
+            *_, phase, log_r = _matched(_Trap(*columns[:, trap]), energies)
+        except NumericalError:
+            # matched again trap by trap, so a failure stays in its trap
+            phase = np.empty(len(energies))
+            for t in np.unique(trap).tolist():
+                mine = trap == t
+                phase[mine] = match_one(energies[mine], trap[mine])
+            return phase
+        chunks.append((energies, trap, log_r, phase))
+        return phase
 
-    base = np.linspace(e_min, e_max, base_points)
-    raw = match(base)
-    markers = _bisect(match, base[:-1], base[1:], raw[:-1], raw[1:])
+    def read() -> list:
+        """Per trap, its samples sorted by energy: (energies,
+        log-responses, unwrapped phases)."""
+        e, trap, log_r, raw = (np.concatenate(field) for field in zip(*chunks))
+        order = np.lexsort((e, trap))
+        e, log_r, raw = e[order], log_r[order], raw[order]
+        cuts = np.searchsorted(trap[order], np.arange(n + 1)).tolist()
+        return [(e[a:b], log_r[a:b], _unwrap(raw[a:b])) for a, b in zip(cuts, cuts[1:])]
 
-    narrow = _merge_markers(markers, RESOLUTION_FLOOR)
-    blocked = [p.center for p in narrow]
+    base = np.array([np.linspace(e_min, e_max, base_points) for _, e_min, e_max in windows])
+    owner = np.arange(n)
+    raw = match(base.ravel(), np.repeat(owner, base_points)).reshape(base.shape)
+    if len(failed) == n:  # no trap matched its base grid: nothing to read
+        return [failed[t] for t in range(n)]
+    markers = _bisect(match, base[:, :-1].ravel(), base[:, 1:].ravel(),
+                      raw[:, :-1].ravel(), raw[:, 1:].ravel(), np.repeat(owner, base_points - 1))
+
+    narrow = [_merge_markers([m[1:] for m in markers if m[0] == t], RESOLUTION_FLOOR)
+              for t in range(n)]
+    blocked = [[p.center for p in peaks] for peaks in narrow]
 
     # First detection pass on the refined grid, then a dense local grid
-    # around each candidate so the fit window is well sampled; all grids
-    # are matched in one call.
-    e, log_r, phases = read()
-    grids = []
-    for center, width, _, _ in _detect_resolved(e, log_r, phases, blocked):
-        width = max(width, 8.0 * RESOLUTION_FLOOR)
-        lo = max(center - PEAK_GRID_SPAN * width, e_min)
-        hi = min(center + PEAK_GRID_SPAN * width, e_max)
-        grids.append(np.linspace(lo, hi, PEAK_GRID_POINTS))
+    # around each candidate so the fit window is well sampled; the grids
+    # of all traps are matched in one call.
+    samples = read()
+    grids, grid_owner = [], []
+    for t, (e, log_r, phases) in enumerate(samples):
+        if t in failed:
+            continue
+        _, e_min, e_max = windows[t]
+        spans = []
+        for center, width, _, _ in _detect_resolved(e, log_r, phases, blocked[t]):
+            width = max(width, 8.0 * RESOLUTION_FLOOR)
+            lo = max(center - PEAK_GRID_SPAN * width, e_min)
+            hi = min(center + PEAK_GRID_SPAN * width, e_max)
+            spans.append(np.linspace(lo, hi, PEAK_GRID_POINTS))
+        if spans:
+            grids.append(np.setdiff1d(np.concatenate(spans), e))
+            grid_owner.append(np.full(len(grids[-1]), t))
     if grids:
-        match(np.setdiff1d(np.concatenate(grids), e))
-        e, log_r, phases = read()
+        energies = np.concatenate(grids)
+        if len(energies):
+            match(energies, np.concatenate(grid_owner))
+        samples = read()
 
-    resolved = [
-        Peak(center=c, resolved=True, width_estimate=w, territory=(t_lo, t_hi))
-        for c, w, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked)
-    ]
-    peaks = tuple(sorted(resolved + narrow, key=lambda p: p.center))
-    return Spectrum(trap=spec, energies=e, log_responses=log_r, phases=phases, peaks=peaks)
+    spectra = []
+    for t, (e, log_r, phases) in enumerate(samples):
+        if t in failed:
+            spectra.append(failed[t])
+            continue
+        resolved = [
+            Peak(center=c, resolved=True, width_estimate=w, territory=(t_lo, t_hi))
+            for c, w, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked[t])
+        ]
+        peaks = tuple(sorted(resolved + narrow[t], key=lambda p: p.center))
+        spectra.append(Spectrum(trap=specs[t], energies=e, log_responses=log_r,
+                                phases=phases, peaks=peaks))
+    return spectra

@@ -2,6 +2,8 @@
 
 import pytest
 
+from atomprep import scattering, specfun
+from atomprep._arrays import where
 from atomprep.potential import TrapSpec
 from atomprep.resonance import fit_lorentzian
 from atomprep.scattering import scan_spectrum
@@ -32,3 +34,37 @@ def excited_res(fig_spectrum):
 def deep_spectrum():
     """Deep near-harmonic trap; widths sit below the resolution floor."""
     return scan_spectrum(TrapSpec(12.0, 0.01), 0.3, 3.0)
+
+
+@pytest.fixture
+def break_airy(monkeypatch):
+    """break_airy(spec, window, call, error=None) breaks the Airy pair at
+    one energy of a trap: the first energy of the call-th match_amplitude
+    call of scan_spectrum(spec, *window).  Without error its Bi' is
+    doubled there, so the matcher's Wronskian check fails; with an
+    exception instance, airy_scaled raises it for any argument holding
+    that point."""
+
+    def arm(spec, window, call, error=None):
+        calls = []
+        match = scattering.match_amplitude
+        monkeypatch.setattr(scattering, "match_amplitude",
+                            lambda spec, energy: calls.append(energy) or match(spec, energy))
+        scan_spectrum(spec, *window)
+        monkeypatch.setattr(scattering, "match_amplitude", match)
+        energy = float(calls[call][0])
+
+        trap = scattering._Trap.of(spec)
+        target = trap.sigma * (trap.edge - (energy - trap.shelf) / trap.tilt)
+        airy_scaled = specfun.airy_scaled
+
+        def broken(s):
+            hit = s == target
+            if error is not None and (hit if isinstance(hit, bool) else hit.any()):
+                raise error
+            ai, aip, bi, bip, chi = airy_scaled(s)
+            return specfun.ScaledAiryPair(ai, aip, bi, where(hit, 2.0 * bip, bip), chi)
+
+        monkeypatch.setattr(specfun, "airy_scaled", broken)
+
+    return arm

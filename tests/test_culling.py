@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from atomprep import culling, resonance
+from atomprep import cli, culling, resonance
 from atomprep.culling import (
     CullingPoint,
     FidelityMap,
@@ -21,7 +21,7 @@ from atomprep.culling import (
     hold_and_restore_report,
     scan_window,
 )
-from atomprep.errors import DomainError, TrapShapeError
+from atomprep.errors import DomainError, NumericalError, TrapShapeError
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.resonance import fit_lorentzian
 from atomprep.scattering import energy_cap, scan_spectrum
@@ -246,10 +246,10 @@ class TestFidelityMap:
 
     def test_unexpected_exception_aborts_the_sweep(self, monkeypatch):
         # only culling_point's documented failures become error cells
-        def broken(size, tilt, residual_target):
+        def broken(spectrum, peak_index):
             raise ZeroDivisionError("bug")
 
-        monkeypatch.setattr(culling, "culling_point", broken)
+        monkeypatch.setattr(culling, "fit_lorentzian", broken)
         with pytest.raises(ZeroDivisionError):
             fidelity_map((4.6, 4.6), (0.5, 0.5), 1, 1)
 
@@ -275,6 +275,39 @@ class TestFidelityMap:
         pooled = fidelity_map((4.6, 4.8), (0.45, 0.5), 2, 2, workers=2)
         assert list(serial.rows()) == list(pooled.rows())
 
+    def test_matcher_failure_stays_in_its_cell(self, break_airy):
+        # the three cells share one block; the middle one loses its Airy
+        # Wronskian at one energy of a bisection level
+        spec = TrapSpec(5.0, 0.4)
+        break_airy(spec, scan_window(spec), 3)
+        with pytest.raises(NumericalError) as alone:
+            culling_point(5.0, 0.4)
+        m = fidelity_map((5.0, 5.0), (0.3, 0.5), 1, 3)
+        ok_low, broken, ok_high = m.cells
+        assert broken.status == STATUS_ERROR and broken.point is None
+        assert broken.note == f"NumericalError: {alone.value}"
+        assert broken.note.startswith("NumericalError: Airy Wronskian lost")
+        assert ok_low.point == culling_point(5.0, 0.3)
+        assert ok_high.point == culling_point(5.0, 0.5)
+
+    @pytest.mark.parametrize("nz", [3, 2], ids=["four-bound", "two-bound"])
+    def test_map_bytes_equal_for_any_worker_count(self, tmp_path, nz):
+        # both grids hold all three statuses; the second has fewer bound
+        # cells than the largest worker count
+        written = {}
+        for workers in (1, 2, 3):
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"map-w{workers}.{fmt}"
+                assert cli.run(["fidelity-map", "--zmin", "4.0", "--zmax", "6.0",
+                                "--fmin", "0.3", "--fmax", "0.5", "--nz", str(nz),
+                                "--nf", "2", "--workers", str(workers), "--format", fmt,
+                                "--out", str(out)]) == 0
+                written.setdefault(fmt, []).append(out.read_bytes())
+        for fmt, outputs in written.items():
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0], fmt
+        statuses = {c.split(",")[-1] for c in written["csv"][0].decode().splitlines()[1:]}
+        assert statuses == {STATUS_OK, STATUS_ERROR, STATUS_OUT_OF_RANGE}
+
     def test_validation(self):
         with pytest.raises(DomainError):
             fidelity_map((4.0, 5.0), (0.3, 0.5), 0, 3)
@@ -295,18 +328,12 @@ class TestFidelityMap:
             with pytest.raises(DomainError, match="workers"):
                 fidelity_map((4.0, 5.0), (0.3, 0.5), 3, 3, workers=workers)
 
-    @pytest.mark.parametrize("workers, cpus, cells, started", [
-        (8, 4, 6, 4),    # capped by the CPU count
-        (3, 4, 6, 3),    # as asked
-        (100, 64, 2, 2),  # capped by the cell count
-        (2, 1, 6, None),  # one CPU runs in-process
-    ])
-    def test_pool_size_is_bounded(self, monkeypatch, workers, cpus, cells, started):
-        sizes = []
+    @staticmethod
+    def _fake_pool(monkeypatch, cpus):
+        """Record each pool's size and tasks' chunk size; map in-process."""
+        sizes, chunks = [], []
 
         class FakePool:
-            """Records its size and maps in-process; starts no process."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -317,13 +344,31 @@ class TestFidelityMap:
                 return False
 
             def map(self, fn, tasks, chunksize=1):
+                chunks.append(chunksize)
                 return map(fn, tasks)
 
         monkeypatch.setattr(culling, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(culling.os, "cpu_count", lambda: cpus)
-        # every cell of this grid is out of range, so nothing is scanned
-        m = fidelity_map((3.0, 4.0), (0.3, 0.7), cells // 2, 2, workers=workers)
+        return sizes, chunks
+
+    @pytest.mark.parametrize("workers, cpus, cells, started", [
+        (8, 4, 6, 4),    # capped by the CPU count
+        (3, 4, 6, 3),    # as asked
+        (100, 64, 2, 2),  # capped by the bound-cell count
+        (2, 1, 6, None),  # one CPU runs in-process
+    ])
+    def test_pool_size_is_bounded(self, monkeypatch, workers, cpus, cells, started):
+        sizes, chunks = self._fake_pool(monkeypatch, cpus)
+        # every cell of this grid is bound and scanned
+        m = fidelity_map((4.6, 5.0), (0.45, 0.5), cells // 2, 2, workers=workers)
         assert sizes == ([] if started is None else [started])
+        assert chunks == ([] if started is None else [1])  # one block per task
+        assert all(st == STATUS_OK for row in m.status for st in row)
+
+    def test_grid_without_bound_cells_starts_no_pool(self, monkeypatch):
+        sizes, _ = self._fake_pool(monkeypatch, 4)
+        m = fidelity_map((3.0, 4.0), (0.3, 0.7), 3, 2, workers=8)
+        assert sizes == []
         assert all(st == STATUS_OUT_OF_RANGE for row in m.status for st in row)
 
 

@@ -6,6 +6,7 @@ bound-state proxy (hard wall at the outer classical turning point, where
 the exterior ramp admits an exact Airy solution).
 """
 
+import gc
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from atomprep.culling import scan_window
-from atomprep.errors import DomainError
+from atomprep.errors import DomainError, NumericalError
 from atomprep import scattering
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.scattering import (
@@ -35,6 +36,7 @@ from atomprep.scattering import (
     exterior_wave,
     interior_wave,
     match_amplitude,
+    scan_spectra,
     scan_spectrum,
 )
 from atomprep.specfun import airy
@@ -157,9 +159,9 @@ class TestMatchAmplitude:
         kernel_calls = []
         kernel = scattering._match
 
-        def counted(spec, energy):
+        def counted(trap, energy):
             kernel_calls.append(np.ndim(energy))
-            return kernel(spec, energy)
+            return kernel(trap, energy)
 
         monkeypatch.setattr(scattering, "_match", counted)
         for start in range(0, 50 - n + 1, 7):
@@ -249,32 +251,45 @@ class TestScanSpectrum:
             scan_spectrum(FIG, 0.05, 5.0)
 
     def test_level_synchronous_bisection_samples_depth_first_energies(self):
-        # reference: bisect each base interval depth-first, one energy at
-        # a time, as a stack; the same energies must be sampled
+        # reference: bisect each base interval of each trap depth-first,
+        # one energy at a time, as a stack; lock-step bisection of both
+        # traps at once must sample the same energies on each trap
+        specs = (FIG, TrapSpec(5.0, 0.3))
         base = np.linspace(0.05, 1.5, 160)
-        phase = {float(e): match_amplitude(FIG, float(e)).phase for e in base}
-        stack = [(float(lo), float(hi)) for lo, hi in zip(base[:-1], base[1:])]
-        while stack:
-            lo, hi = stack.pop()
-            step = math.remainder(phase[hi] - phase[lo], 2.0 * math.pi)
-            mid = 0.5 * (lo + hi)
-            if abs(step) <= PHASE_JUMP or hi - lo <= RESOLUTION_FLOOR or not lo < mid < hi:
-                continue
-            phase[mid] = match_amplitude(FIG, mid).phase
-            stack += [(lo, mid), (mid, hi)]
+        want = []
+        for spec in specs:
+            phase = {float(e): match_amplitude(spec, float(e)).phase for e in base}
+            stack = [(float(lo), float(hi)) for lo, hi in zip(base[:-1], base[1:])]
+            while stack:
+                lo, hi = stack.pop()
+                step = math.remainder(phase[hi] - phase[lo], 2.0 * math.pi)
+                mid = 0.5 * (lo + hi)
+                if abs(step) <= PHASE_JUMP or hi - lo <= RESOLUTION_FLOOR or not lo < mid < hi:
+                    continue
+                phase[mid] = match_amplitude(spec, mid).phase
+                stack += [(lo, mid), (mid, hi)]
+            want.append(phase)
         chunks = []
 
-        def match(energies):
-            raw = match_amplitude(FIG, energies).phase
-            chunks.append((energies, raw))
+        def match(energies, trap):
+            raw = np.empty(len(energies))
+            for t, spec in enumerate(specs):
+                raw[trap == t] = match_amplitude(spec, energies[trap == t]).phase
+            chunks.append((energies, trap, raw))
             return raw
 
-        raw = match(base)
-        _bisect(match, base[:-1], base[1:], raw[:-1], raw[1:])
-        energies, raw = (np.concatenate(field) for field in zip(*chunks))
-        order = np.argsort(energies)
-        assert np.array_equal(energies[order], sorted(phase))
-        assert np.array_equal(raw[order], [phase[e] for e in sorted(phase)])
+        trap = np.repeat([0, 1], 160)
+        raw = match(np.tile(base, 2), trap).reshape(2, 160)
+        lo, hi = np.tile(base[:-1], 2), np.tile(base[1:], 2)
+        markers = _bisect(match, lo, hi, raw[:, :-1].ravel(), raw[:, 1:].ravel(),
+                          np.repeat([0, 1], 159))
+        assert markers == []
+        assert any(set(c[1].tolist()) == {0, 1} for c in chunks[1:])  # levels shared
+        energies, trap, raw = (np.concatenate(field) for field in zip(*chunks))
+        for t, phase in enumerate(want):
+            order = np.argsort(energies[trap == t])
+            assert np.array_equal(energies[trap == t][order], sorted(phase))
+            assert np.array_equal(raw[trap == t][order], [phase[e] for e in sorted(phase)])
 
     def test_vector_unwrap_equals_sequential_unwrap(self):
         raw = np.random.default_rng(3).uniform(-math.pi, math.pi, 500)
@@ -401,6 +416,153 @@ class TestSampleStoreEquivalence:
         assert [_peak_bits(p) for p in sp.peaks] == [_peak_bits(p) for p in peaks]
         assert len(peaks) == n_peaks
         assert sum(not p.resolved for p in peaks) == n_narrow
+
+
+def _spectrum_bits(sp):
+    return (sp.energies.tobytes(), sp.log_responses.tobytes(), sp.phases.tobytes(),
+            [_peak_bits(p) for p in sp.peaks])
+
+
+# ok map cells, a width-floor error cell (6.0, 0.3), FIG's excited line
+# 0.03 below its barrier top, and a deep trap with three unresolved lines
+BLOCK_TRAPS = [(TrapSpec(z, f), scan_window(TrapSpec(z, f)))
+               for z, f in ((4.4, 0.5), (5.0, 0.3), (6.0, 0.3), (4.6, 0.45), (5.6, 0.2))]
+BLOCK_TRAPS.append((TrapSpec(12.0, 0.01), (0.3, 3.0)))
+
+
+class TestBlockScan:
+    """scan_spectra matches many traps per call and gives each trap its
+    scan_spectrum bit for bit, in any partition into blocks."""
+
+    @pytest.fixture(scope="class")
+    def single(self):
+        return [_spectrum_bits(scan_spectrum(spec, *w)) for spec, w in BLOCK_TRAPS]
+
+    @pytest.mark.parametrize("partition", [
+        [[0, 1, 2, 3, 4, 5]],
+        [[5, 4, 3, 2, 1, 0]],
+        [[0, 2, 4], [1, 3, 5]],
+        [[3], [1, 0], [5, 2, 4]],
+    ], ids=["one-block", "reversed", "interleaved", "uneven"])
+    def test_partitions_equal_single_scans(self, single, partition):
+        for block in partition:
+            scans = scan_spectra([(BLOCK_TRAPS[k][0], *BLOCK_TRAPS[k][1]) for k in block])
+            assert [_spectrum_bits(sp) for sp in scans] == [single[k] for k in block]
+
+    def test_line_near_barrier_top_and_floor_peaks_survive(self, single):
+        fig, deep = scan_spectra([(BLOCK_TRAPS[0][0], *BLOCK_TRAPS[0][1]),
+                                  (BLOCK_TRAPS[5][0], *BLOCK_TRAPS[5][1])])
+        top = trap_geometry(FIG).edge_height
+        assert fig.peaks[1].resolved and 0.0 < top - fig.peaks[1].center < 0.05
+        assert [p.resolved for p in deep.peaks] == [False, False, False]
+
+    @pytest.mark.parametrize("n", [2, _FLOAT_PATH_MAX, 40])
+    def test_block_kernel_equals_per_trap_calls(self, n):
+        # energies of three traps in one call, on the float path up to
+        # _FLOAT_PATH_MAX energies and as arrays above
+        specs = [spec for spec, _ in BLOCK_TRAPS[:3]]
+        trap = np.arange(n) % 3
+        energies = np.linspace(0.3, 1.3, n)
+        columns = np.array([scattering._Trap.of(spec) for spec in specs]).T.copy()
+        block = scattering._matched(scattering._Trap(*columns[:, trap]), energies)
+        for t, spec in enumerate(specs):
+            m = match_amplitude(spec, energies[trap == t])
+            want = (m.ai_coeff, m.bi_coeff, m.interior_amplitude, m.phase, m.log_response)
+            for got, field in zip(block, want):
+                assert got[trap == t].tobytes() == np.asarray(field).tobytes()
+
+    def test_one_matcher_call_per_level(self, monkeypatch):
+        calls = []
+        matched = scattering._matched
+
+        def counted(trap, energy):
+            calls.append(np.size(energy))
+            return matched(trap, energy)
+
+        monkeypatch.setattr(scattering, "_matched", counted)
+        single = []
+        for spec, w in BLOCK_TRAPS:
+            calls.clear()
+            scan_spectrum(spec, *w)
+            single.append(len(calls))
+        calls.clear()
+        scan_spectra([(spec, *w) for spec, w in BLOCK_TRAPS])
+        # base grids, each bisection level and the peak grids: at most one
+        # call more than the deepest single scan
+        assert len(calls) <= max(single) + 1 < sum(single)
+        assert calls[0] == 160 * len(BLOCK_TRAPS)
+
+    def test_scan_leaves_no_reference_cycle(self):
+        # a block's samples are freed when its scan returns, not at the
+        # next garbage collection
+        scan_spectra([(spec, *w) for spec, w in BLOCK_TRAPS[:3]])
+        gc.collect()
+        gc.disable()
+        try:
+            scan_spectra([(spec, *w) for spec, w in BLOCK_TRAPS[:3]])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_empty_and_invalid_windows(self):
+        assert scan_spectra([]) == []
+        with pytest.raises(DomainError):
+            scan_spectra([(FIG, *scan_window(FIG)), (FIG, 0.05, 5.0)])
+        with pytest.raises(DomainError, match="base_points"):
+            scan_spectra([(FIG, *scan_window(FIG))], base_points=1)
+        # a flat exterior is rejected before any trap of the block is matched
+        flat = TrapSpec(5.0, 0.0)
+        with pytest.raises(DomainError, match="zero tilt"):
+            scan_spectra([(FIG, *scan_window(FIG)), (flat, *scan_window(flat))])
+
+
+class TestBlockScanFailures:
+    """A matcher failure stays in its trap; a DomainError propagates."""
+
+    TRAPS = [(TrapSpec(z, 0.4), scan_window(TrapSpec(z, 0.4))) for z in (4.8, 5.0, 5.2)]
+
+    @pytest.mark.parametrize("call", [0, 3], ids=["base-grid", "bisection-level"])
+    def test_numerical_error_retires_only_its_trap(self, break_airy, monkeypatch, call):
+        want = [_spectrum_bits(scan_spectrum(spec, *w)) for spec, w in self.TRAPS]
+        # the first matcher call matches the base grids, the fourth a
+        # bisection level; the traps share both
+        break_airy(*self.TRAPS[1], call)
+        with pytest.raises(NumericalError, match="Airy Wronskian lost") as alone:
+            scan_spectrum(self.TRAPS[1][0], *self.TRAPS[1][1])
+        block_failures = []
+        matched = scattering._matched
+
+        def spied(trap, energy):
+            try:
+                return matched(trap, energy)
+            except NumericalError:
+                block_failures.append(isinstance(trap.g, np.ndarray))
+                raise
+
+        monkeypatch.setattr(scattering, "_matched", spied)
+        first, failed, last = scan_spectra([(spec, *w) for spec, w in self.TRAPS])
+        assert block_failures[0]  # the block call raised and was re-matched
+        assert isinstance(failed, NumericalError)
+        assert str(failed) == str(alone.value)
+        assert [_spectrum_bits(first), _spectrum_bits(last)] == [want[0], want[2]]
+
+    def test_every_trap_failing_on_its_base_grid(self, break_airy):
+        # each trap alone, and all of them in one block, fail on the base grid
+        for spec, window in self.TRAPS:
+            break_airy(spec, window, 0)
+        alone = []
+        for spec, window in self.TRAPS:
+            with pytest.raises(NumericalError) as exc:
+                scan_spectrum(spec, *window)
+            alone.append(str(exc.value))
+        failed = scan_spectra([(spec, *w) for spec, w in self.TRAPS])
+        assert all(isinstance(f, NumericalError) for f in failed)
+        assert [str(f) for f in failed] == alone
+
+    def test_domain_error_propagates(self, break_airy):
+        break_airy(*self.TRAPS[1], 3, DomainError("broken Airy argument"))
+        with pytest.raises(DomainError, match="broken Airy argument"):
+            scan_spectra([(spec, *w) for spec, w in self.TRAPS])
 
 
 def _reference_detect(e, log_r, phases, blocked):
