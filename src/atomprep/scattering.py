@@ -60,10 +60,11 @@ _MIN_PHASE_RISE = 0.3 * math.pi
 PEAK_GRID_SPAN = 8.0
 PEAK_GRID_POINTS = 96
 # Arrays of at most this many energies are matched element by element on
-# the float path.  A one-trap matcher call costs a fixed ~200 us as an
-# array and ~30 us per energy as floats (2-core x86 host, scan energies of
-# map cells): 1 energy 202 against 33 us, 6 energies 219 against 182 us,
-# break-even at about 8.  Deep bisection levels of a one-trap scan carry
+# the float path.  A one-trap matcher call costs a fixed ~95 us as an
+# array and ~15 us per energy as floats (2-core x86 host, scan energies of
+# map cells, best of 3 alternating runs): 1 energy 95 against 15 us, 6
+# energies 99 against 89 us, 8 energies 100 against 119 us, break-even at
+# about 7.  Deep bisection levels of a one-trap scan carry
 # 1-3 energies; a block of traps carries more until its last traps finish.
 _FLOAT_PATH_MAX = 6
 

@@ -130,11 +130,42 @@ class TestAiryScaled:
             sf.airy_scaled(np.array([1.0, -200.5]))
 
     def test_array_equals_scalar_calls(self):
-        # each element takes the branch of its own sign
-        s = np.array([-7.5, -0.3, 0.0, 0.02, 3.1, 60.0, 400.0])
-        pair = sf.airy_scaled(s)
-        for i, x in enumerate(s):
-            assert tuple(f[i] for f in pair) == tuple(sf.airy_scaled(float(x)))
+        # each element takes the route of its own range: the plain pair
+        # at s <= 0, the scaled plain pair up to AIRY_CEPHES_MAX and airye
+        # beyond; the scan's float path and array path must agree bit
+        # for bit, so the map's argument range is sampled densely
+        edge = sf.AIRY_CEPHES_MAX
+        special = [-7.5, -0.3, 0.0, 0.02, 3.1, 9.999, edge, 10.001, 60.0, 400.0]
+        s = np.concatenate((special, np.random.default_rng(26).uniform(-0.71, 7.34, 1200)))
+        pair = np.array(sf.airy_scaled(s))
+        scalar = np.array([tuple(sf.airy_scaled(float(x))) for x in s]).T
+        assert pair.tobytes() == scalar.tobytes()
+
+    @staticmethod
+    def _mp_scaled(s: float, chi: float) -> tuple:
+        # mpmath's pair at s, scaled by exp(+-chi) for the chi returned
+        x, c = mpmath.mpf(s), mpmath.mpf(chi)
+        return (mpmath.airyai(x) * mpmath.exp(c), mpmath.airyai(x, 1) * mpmath.exp(c),
+                mpmath.airybi(x) * mpmath.exp(-c), mpmath.airybi(x, 1) * mpmath.exp(-c))
+
+    def test_scaled_pair_against_mpmath_across_routes(self):
+        # (0, 12] spans the switch at AIRY_CEPHES_MAX = 10; measured worst
+        # 1.2e-14 on the plain (Cephes) route and 3.2e-14 on airye (AMOS)
+        for s in np.linspace(0.0, 12.0, 241)[1:].tolist():
+            got = sf.airy_scaled(s)
+            bound = 2e-14 if s <= sf.AIRY_CEPHES_MAX else 5e-14
+            for value, ref in zip(got[:4], self._mp_scaled(s, got.chi)):
+                assert float(abs((value - ref) / ref)) < bound, s
+
+    def test_continuous_at_route_switch(self):
+        # the relative step of each field across 10 +- 1e-9 is the true
+        # one (about 5e-11) to within the two routes' rounding
+        below, above = sf.AIRY_CEPHES_MAX - 1e-9, sf.AIRY_CEPHES_MAX + 1e-9
+        lo, hi = sf.airy_scaled(below), sf.airy_scaled(above)
+        want_lo, want_hi = self._mp_scaled(below, lo.chi), self._mp_scaled(above, hi.chi)
+        for k in range(4):
+            step = hi[k] / lo[k] - 1.0
+            assert abs(step - float(want_hi[k] / want_lo[k] - 1)) < 1e-13
 
 
 class TestHermite:
