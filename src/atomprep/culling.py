@@ -263,19 +263,23 @@ class FidelityMap:
 def _scan_block(task) -> list:
     """Map cells of one block of bound trap shapes, scanned in lock step.
 
-    task is (specs, residual_target).  A cell whose scan or fits raise
-    culling_point's TrapShapeError or NumericalError becomes an error cell
-    with the note that culling_point's exception gives; any other
-    exception propagates.
+    task is (specs, residual_target).  Each cell is the ok cell of its
+    culling_point, or an error cell with the note of culling_point's
+    TrapShapeError or NumericalError; any other exception propagates.
+    When the block's scan raises NumericalError, its traps are scanned
+    again one by one, so a failing trap spoils only its own cell.
     """
     specs, residual_target = task
     windows = [scan_window(spec) for spec in specs]
-    scans = scan_spectra([(spec, *window) for spec, window in zip(specs, windows)])
+    try:
+        scans = scan_spectra([(spec, *window) for spec, window in zip(specs, windows)])
+    except NumericalError:
+        scans = [None] * len(specs)
     cells = []
     for spec, window, scanned in zip(specs, windows, scans):
         try:
-            if isinstance(scanned, NumericalError):
-                raise scanned
+            if scanned is None:
+                scanned = scan_spectrum(spec, *window)
             cell = MapCell(spec.size, spec.tilt, STATUS_OK, _point(scanned, window, residual_target))
         except (TrapShapeError, NumericalError) as exc:
             cell = MapCell(spec.size, spec.tilt, STATUS_ERROR, note=f"{type(exc).__name__}: {exc}")
@@ -298,8 +302,10 @@ def fidelity_map(
     at most MAP_BLOCK_CELLS, and each block is scanned in lock step
     (scattering.scan_spectra); every cell's point equals culling_point's
     bit for bit.  Cells where culling_point would raise TrapShapeError or
-    NumericalError carry an error status and its message, and any other
-    exception propagates.  The map holds one MapCell per grid point in row
+    NumericalError carry an error status and its message: a block whose
+    scan raises NumericalError is scanned again trap by trap, so one
+    failing trap spoils only its own cell.  Any other exception
+    propagates.  The map holds one MapCell per grid point in row
     order, so the output is identical for any worker count.
 
     Parameters

@@ -284,9 +284,10 @@ def survival_from_spectrum(
     """
 
     t_arr = _times(t)
-    if window < MIN_FOURIER_WINDOW:
+    if not MIN_FOURIER_WINDOW <= window < math.inf:
         raise DomainError(
-            f"window {window:g} widths is below the minimum {MIN_FOURIER_WINDOW:g}"
+            f"window {window:g} widths is not finite or below the minimum "
+            f"{MIN_FOURIER_WINDOW:g}"
         )
     half = window * res.gamma
     lo = res.e0 - half

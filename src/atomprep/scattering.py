@@ -358,9 +358,8 @@ def _bisect(match, lo, hi, p_lo, p_hi, trap) -> list:
     returns their raw phases.  Whether an interval is split depends only
     on its endpoint phases, so the sampled energies are those of
     bisecting each interval depth-first, whatever other traps share the
-    call; a NaN phase (a trap whose matching failed) stops its interval.
-    Intervals that reach the floor (or machine spacing) with a surviving
-    jump are returned as markers (trap, lo, hi, wrapped_step).
+    call.  Intervals that reach the floor (or machine spacing) with a
+    surviving jump are returned as markers (trap, lo, hi, wrapped_step).
     """
 
     markers = []
@@ -476,18 +475,14 @@ def scan_spectrum(
     The base grid must be fine enough to separate neighboring
     resonances (one phase jump per interval); level spacing in this trap
     family is of order 1, so the default is ample for windows a few
-    units wide.  This is scan_spectra on one trap: one match_amplitude
-    call for the base grid, one per bisection level and one for the peak
-    grids; a NumericalError of any of them is raised.
+    units wide.  This is scan_spectra on one trap: one matcher call for
+    the base grid, one per bisection level and one for the peak grids.
     """
 
-    (spectrum,) = scan_spectra([(spec, e_min, e_max)], base_points)
-    if isinstance(spectrum, NumericalError):
-        raise spectrum
-    return spectrum
+    return scan_spectra([(spec, e_min, e_max)], base_points)[0]
 
 
-def scan_spectra(windows, base_points: int = 160) -> list:
+def scan_spectra(windows, base_points: int = 160) -> list[Spectrum]:
     """Scan several traps in lock step, windows holding (spec, e_min, e_max).
 
     Runs scan_spectrum's scan on every trap at once: one matcher call
@@ -495,15 +490,9 @@ def scan_spectra(windows, base_points: int = 160) -> list:
     of every trap) and one all peak grids, so a block of traps pays a
     call's fixed cost once per level instead of once per trap.  Returns,
     per trap, the Spectrum that scan_spectrum(spec, e_min, e_max,
-    base_points) returns, bit for bit, or the NumericalError that
-    stopped that trap's scan.
-
-    A call that carries the energies of one trap is that trap's
-    match_amplitude call.  When a call of several traps raises
-    NumericalError, its energies are matched again trap by trap, as
-    match_amplitude calls; a trap whose call raises is retired with that
-    error, which is the one its scan alone raises, and the other traps go
-    on.  A DomainError propagates.
+    base_points) returns, bit for bit.  A NumericalError of any trap's
+    matching is raised and ends the whole scan; a caller that wants the
+    other traps' spectra scans them again one by one.
     """
 
     for spec, e_min, e_max in windows:
@@ -517,8 +506,8 @@ def scan_spectra(windows, base_points: int = 160) -> list:
                 f"e_max {e_max:g} at or above the usable cap {cap:g} "
                 f"for size={spec.size:g}, tilt={spec.tilt:g}"
             )
-    if base_points < 2:
-        raise DomainError("base_points must be at least 2")
+    if not (isinstance(base_points, (int, np.integer)) and base_points >= 2):
+        raise DomainError(f"base_points must be an integer of at least 2, got {base_points!r}")
     for spec, _, _ in windows:
         _check_tilt(spec)
     n = len(windows)
@@ -527,39 +516,15 @@ def scan_spectra(windows, base_points: int = 160) -> list:
     specs = [spec for spec, _, _ in windows]
     # the per-trap scalars as rows, gathered per energy by trap index
     columns = np.array([_Trap.of(spec) for spec in specs]).T.copy()
-    failed = {}  # trap index -> the NumericalError that retired it
     # (energies, trap indices, log-responses, raw phases) per matcher call;
     # no energy of a trap is matched twice, so a read's sort has a single
     # answer
     chunks = []
 
-    def match_one(energies: np.ndarray, trap: np.ndarray) -> np.ndarray:
-        """match for energies of one trap: that trap's match_amplitude call.
-        Apart from match so that no closure refers to itself: that cycle
-        would keep the block's samples until the next garbage collection."""
-        t = int(trap[0])
-        try:
-            m = match_amplitude(specs[t], energies)
-        except NumericalError as exc:
-            failed[t] = exc
-            return np.full(len(energies), np.nan)
-        chunks.append((energies, trap, m.log_response, m.phase))
-        return m.phase
-
     def match(energies: np.ndarray, trap: np.ndarray) -> np.ndarray:
-        """Match energies[i] on trap[i] and keep the samples; returns the
-        raw phases, NaN on the energies of a trap this call retired."""
-        if n == 1 or (trap == trap[0]).all():
-            return match_one(energies, trap)
-        try:
-            *_, phase, log_r = _matched(_Trap(*columns[:, trap]), energies)
-        except NumericalError:
-            # matched again trap by trap, so a failure stays in its trap
-            phase = np.empty(len(energies))
-            for t in np.unique(trap).tolist():
-                mine = trap == t
-                phase[mine] = match_one(energies[mine], trap[mine])
-            return phase
+        """Match energies[i] on trap[i], keep the samples and return the
+        raw phases."""
+        *_, phase, log_r = _matched(_Trap(*columns[:, trap]), energies)
         chunks.append((energies, trap, log_r, phase))
         return phase
 
@@ -575,8 +540,6 @@ def scan_spectra(windows, base_points: int = 160) -> list:
     base = np.array([np.linspace(e_min, e_max, base_points) for _, e_min, e_max in windows])
     owner = np.arange(n)
     raw = match(base.ravel(), np.repeat(owner, base_points)).reshape(base.shape)
-    if len(failed) == n:  # no trap matched its base grid: nothing to read
-        return [failed[t] for t in range(n)]
     markers = _bisect(match, base[:, :-1].ravel(), base[:, 1:].ravel(),
                       raw[:, :-1].ravel(), raw[:, 1:].ravel(), np.repeat(owner, base_points - 1))
 
@@ -590,8 +553,6 @@ def scan_spectra(windows, base_points: int = 160) -> list:
     samples = read()
     grids, grid_owner = [], []
     for t, (e, log_r, phases) in enumerate(samples):
-        if t in failed:
-            continue
         _, e_min, e_max = windows[t]
         spans = []
         for center, width, _, _ in _detect_resolved(e, log_r, phases, blocked[t]):
@@ -610,9 +571,6 @@ def scan_spectra(windows, base_points: int = 160) -> list:
 
     spectra = []
     for t, (e, log_r, phases) in enumerate(samples):
-        if t in failed:
-            spectra.append(failed[t])
-            continue
         resolved = [
             Peak(center=c, resolved=True, width_estimate=w, territory=(t_lo, t_hi))
             for c, w, t_lo, t_hi in _detect_resolved(e, log_r, phases, blocked[t])

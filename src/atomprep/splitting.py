@@ -231,11 +231,14 @@ def plan_split_path(
     and ends at the survey tilt nearest to f_bias, which must lie within
     the survey's tilts (it need not be a node).  The returned path
     maximizes the minimum gap encountered; if that bottleneck is below
-    min_gap, PathNotFoundError reports it.
+    min_gap, PathNotFoundError reports it.  A NaN d_target or min_gap
+    raises DomainError.
     """
 
-    if d_target < 0.0:
-        raise DomainError("d_target must be nonnegative")
+    if not d_target >= 0.0:
+        raise DomainError(f"d_target must be nonnegative, got {d_target}")
+    if math.isnan(min_gap):
+        raise DomainError("min_gap must be a number, got nan")
     if survey.separations[0] > 1e-9:
         raise DomainError("survey must start at separation 0")
     if d_target > survey.separations[-1] + 1e-9:
@@ -326,8 +329,8 @@ def gap_adaptive_ramp(
     enough for linear interpolation during propagation.
     """
 
-    if duration <= 0.0:
-        raise DomainError("duration must be positive")
+    if not 0.0 < duration < math.inf:
+        raise DomainError(f"duration must be positive and finite, got {duration}")
     if len(path) < 2:
         d, f = path[0]
         return [(0.0, d, f), (duration, d, f)]

@@ -113,8 +113,10 @@ class PropagationResult:
 
 def uniform_grid(x_lo: float, x_hi: float, spacing: float = SPACING):
     """Uniform grid from x_lo to x_hi with spacing rounded to fit."""
-    if not x_lo < x_hi:
-        raise ConfigurationError(f"empty grid [{x_lo}, {x_hi}]")
+    if not (math.isfinite(x_lo) and math.isfinite(x_hi) and x_lo < x_hi):
+        raise ConfigurationError(f"grid [{x_lo}, {x_hi}] is empty or not finite")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ConfigurationError(f"grid spacing must be finite and positive, got {spacing}")
     count = int(round((x_hi - x_lo) / spacing))
     if count < 8:
         raise ConfigurationError("grid too small")

@@ -39,19 +39,19 @@ def deep_spectrum():
 @pytest.fixture
 def break_airy(monkeypatch):
     """break_airy(spec, window, call, error=None) breaks the Airy pair at
-    one energy of a trap: the first energy of the call-th match_amplitude
-    call of scan_spectrum(spec, *window).  Without error its Bi' is
-    doubled there, so the matcher's Wronskian check fails; with an
-    exception instance, airy_scaled raises it for any argument holding
+    one energy of a trap: the first energy of the call-th matcher call
+    (scattering._matched) of scan_spectrum(spec, *window).  Without error
+    its Bi' is doubled there, so the matcher's Wronskian check fails; with
+    an exception instance, airy_scaled raises it for any argument holding
     that point."""
 
     def arm(spec, window, call, error=None):
         calls = []
-        match = scattering.match_amplitude
-        monkeypatch.setattr(scattering, "match_amplitude",
-                            lambda spec, energy: calls.append(energy) or match(spec, energy))
+        matched = scattering._matched
+        monkeypatch.setattr(scattering, "_matched",
+                            lambda trap, energy: calls.append(energy) or matched(trap, energy))
         scan_spectrum(spec, *window)
-        monkeypatch.setattr(scattering, "match_amplitude", match)
+        monkeypatch.setattr(scattering, "_matched", matched)
         energy = float(calls[call][0])
 
         trap = scattering._Trap.of(spec)

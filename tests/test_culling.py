@@ -275,11 +275,13 @@ class TestFidelityMap:
         pooled = fidelity_map((4.6, 4.8), (0.45, 0.5), 2, 2, workers=2)
         assert list(serial.rows()) == list(pooled.rows())
 
-    def test_matcher_failure_stays_in_its_cell(self, break_airy):
-        # the three cells share one block; the middle one loses its Airy
-        # Wronskian at one energy of a bisection level
+    @staticmethod
+    def _check_broken_middle_cell(break_airy, call):
+        """The three cells of (5.0, 0.3-0.5) share one block, whose scan
+        raises: the middle trap loses its Airy Wronskian at one energy of
+        its call-th matcher call.  Its cell alone is an error cell."""
         spec = TrapSpec(5.0, 0.4)
-        break_airy(spec, scan_window(spec), 3)
+        break_airy(spec, scan_window(spec), call)
         with pytest.raises(NumericalError) as alone:
             culling_point(5.0, 0.4)
         m = fidelity_map((5.0, 5.0), (0.3, 0.5), 1, 3)
@@ -289,6 +291,36 @@ class TestFidelityMap:
         assert broken.note.startswith("NumericalError: Airy Wronskian lost")
         assert ok_low.point == culling_point(5.0, 0.3)
         assert ok_high.point == culling_point(5.0, 0.5)
+
+    def test_matcher_failure_stays_in_its_cell(self, break_airy):
+        # the fourth matcher call matches a bisection level
+        self._check_broken_middle_cell(break_airy, 3)
+
+    def test_base_grid_failure_stays_in_its_cell(self, break_airy):
+        # the first matcher call matches the base grids
+        self._check_broken_middle_cell(break_airy, 0)
+
+    def test_every_cell_failing_on_its_base_grid(self, break_airy):
+        # each trap alone, and all of them in one block, fail on the base
+        # grid; each error cell carries its own trap's note
+        specs = [TrapSpec(z, 0.4) for z in (4.8, 5.0, 5.2)]
+        for spec in specs:
+            break_airy(spec, scan_window(spec), 0)
+        alone = []
+        for spec in specs:
+            with pytest.raises(NumericalError) as exc:
+                culling_point(spec.size, spec.tilt)
+            alone.append(f"NumericalError: {exc.value}")
+        m = fidelity_map((4.8, 5.2), (0.4, 0.4), 3, 1)
+        assert [c.status for c in m.cells] == [STATUS_ERROR] * 3
+        assert [c.note for c in m.cells] == alone
+        assert len(set(alone)) == 3
+
+    def test_domain_error_of_a_scan_aborts_the_sweep(self, break_airy):
+        spec = TrapSpec(5.0, 0.4)
+        break_airy(spec, scan_window(spec), 3, DomainError("broken Airy argument"))
+        with pytest.raises(DomainError, match="broken Airy argument"):
+            fidelity_map((5.0, 5.0), (0.3, 0.5), 1, 3)
 
     @pytest.mark.parametrize("nz", [3, 2], ids=["four-bound", "two-bound"])
     def test_map_bytes_equal_for_any_worker_count(self, tmp_path, nz):

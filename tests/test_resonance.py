@@ -345,6 +345,16 @@ class TestSurvivalFromSpectrum:
         with pytest.raises(DomainError):
             survival_from_spectrum(FIG, ground_res, 1.0, window=19.0)
 
+    def test_non_finite_window_rejected_before_matching(self, ground_res, monkeypatch):
+        calls = []
+        match = scattering.match_amplitude
+        monkeypatch.setattr(scattering, "match_amplitude",
+                            lambda *a: calls.append(a) or match(*a))
+        for window in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="window"):
+                survival_from_spectrum(FIG, ground_res, 1.0, window=window)
+        assert calls == []
+
     def test_window_leaving_usable_range_rejected(self, ground_res):
         with pytest.raises(DomainError):
             survival_from_spectrum(FIG, ground_res, 1.0, window=250.0)

@@ -415,6 +415,14 @@ class TestPathPlanning:
             ramp = gap_adaptive_ramp(survey, path, duration, samples=samples)
             assert ramp == _reference_ramp(survey, path, duration, samples)
 
+    def test_nan_target_or_gap_floor_raises(self, survey):
+        # a NaN used to plan a path to the survey's last separation, or to
+        # accept any bottleneck
+        with pytest.raises(DomainError, match="d_target"):
+            plan_split_path(survey, math.nan, 0.05, f_bias=0.12)
+        with pytest.raises(DomainError, match="min_gap"):
+            plan_split_path(survey, 4.82, math.nan, f_bias=0.12)
+
     def test_bias_outside_survey_tilts_raises(self, survey):
         # the survey spans tilts 0.08-0.16; a bias between nodes is allowed
         assert plan_split_path(survey, 1.0, 0.05, f_bias=0.13)[0][0] == 0.0
@@ -426,5 +434,8 @@ class TestPathPlanning:
         path = plan_split_path(survey, 4.82, 0.05, f_bias=0.12)
         with pytest.raises(DomainError):
             gap_adaptive_ramp(survey, path, -1.0)
+        for duration in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="duration"):
+                gap_adaptive_ramp(survey, path, duration)
         with pytest.raises(DomainError):
             gap_adaptive_ramp(survey, path, 100.0, samples=3)

@@ -146,6 +146,15 @@ class TestGridAndPacket:
         assert grid[-1] >= 1.0 - 1e-12
         assert np.allclose(np.diff(grid), grid[1] - grid[0], rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("x_lo, x_hi, spacing", [
+        (-1.0, 1.0, 0.0), (-1.0, 1.0, math.nan), (-1.0, 1.0, -0.1), (-1.0, math.inf, 0.1),
+        (-math.inf, 1.0, 0.1), (math.nan, 1.0, 0.1), (1.0, 1.0, 0.1),
+    ], ids=["zero-spacing", "nan-spacing", "negative-spacing", "infinite-hi", "infinite-lo",
+            "nan-lo", "empty"])
+    def test_uniform_grid_rejects_bad_arguments(self, x_lo, x_hi, spacing):
+        with pytest.raises(ConfigurationError, match="grid"):
+            uniform_grid(x_lo, x_hi, spacing)
+
     def test_norm_and_overlap(self):
         psi, grid = _harmonic_ground()
         assert psi.norm == pytest.approx(1.0, rel=1e-12)
