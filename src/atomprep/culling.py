@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, TrapShapeError, WidthUnresolvedError
+from .errors import DomainError, NumericalError, TrapShapeError, WidthUnresolvedError, check_count
 from .potential import TrapSpec, trap_geometry
 from .resonance import Resonance, fit_lorentzian
 from .scattering import energy_cap, scan_spectra, scan_spectrum
@@ -322,10 +322,9 @@ def fidelity_map(
         one process per block and per CPU is started, each scanning whole
         blocks; a grid without a bound cell starts none.
     """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    if nz < 1 or nf < 1:
-        raise DomainError(f"grid sizes must be >= 1, got {nz} x {nf}")
+    check_count("workers", workers, 1)
+    check_count("nz", nz, 1)
+    check_count("nf", nf, 1)
     if z_range[1] < z_range[0] or f_range[1] < f_range[0]:
         raise DomainError(f"ranges must run low to high, got {z_range}, {f_range}")
     _check_target(residual_target)

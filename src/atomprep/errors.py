@@ -4,7 +4,10 @@ Validation problems (bad parameters, out-of-domain arguments, malformed
 configuration) derive from DomainError; breakdowns of a numerical scheme
 (non-convergence, unresolvable widths, failed path search) derive from
 NumericalError.  The CLI maps the former to exit code 2 and the latter to 3.
+check_count is the one validation of an integer count argument.
 """
+
+from numbers import Integral
 
 
 class DomainError(ValueError):
@@ -52,3 +55,9 @@ class PathNotFoundError(NumericalError):
     def __init__(self, message: str, bottleneck_gap: float):
         super().__init__(message)
         self.bottleneck_gap = bottleneck_gap
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise DomainError unless value is an integer (Python or numpy) >= least."""
+    if not (isinstance(value, Integral) and value >= least):
+        raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -128,8 +128,8 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
     and the finite-step Breit-Wigner bias are both removed analytically.
     """
 
-    if gamma_scale <= 0.0:
-        raise DomainError("gamma_scale must be positive")
+    if not 0.0 < gamma_scale < math.inf:
+        raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale}")
     cap = scattering.energy_cap(spec)
     scale = gamma_scale
     # Shrink the probe pattern if the far probes leave the usable window.

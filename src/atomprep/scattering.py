@@ -37,7 +37,7 @@ import numpy as np
 
 from . import specfun
 from ._arrays import all_of, as_floats, first_failing, log_abs, where
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_count
 from .potential import TrapSpec, trap_geometry
 
 # Scan window may extend this far above the barrier top.
@@ -267,23 +267,6 @@ def _match(trap: _Trap, energy):
     return ai_coeff, bi_coeff, np.exp(half), np.arctan2(bi_coeff, ai_coeff), log_response
 
 
-def exterior_wave(result: MatchResult, spec: TrapSpec, x: float) -> float:
-    """Exterior wavefunction alpha*Ai(s(x)) + beta*Bi(s(x)) for x <= edge.
-
-    Only valid where the plain Airy pair is representable; intended for
-    recomposition tests near the edge, not for deep-barrier points.
-    """
-
-    if x > spec.edge:
-        raise DomainError(f"x={x:g} is inside the trap (edge {spec.edge:g})")
-    sigma = (2.0 * spec.tilt) ** (1.0 / 3.0)
-    shelf = 0.125 * spec.size * spec.size
-    turning = (result.energy - shelf) / spec.tilt
-    ai, _, bi, _ = specfun.airy(sigma * (x - turning))
-    scale = 1.0 / result.interior_amplitude
-    return scale * (result.ai_coeff * ai + result.bi_coeff * bi)
-
-
 @dataclass(frozen=True)
 class Peak:
     """One detected resonance candidate in a scanned spectrum.
@@ -506,8 +489,7 @@ def scan_spectra(windows, base_points: int = 160) -> list[Spectrum]:
                 f"e_max {e_max:g} at or above the usable cap {cap:g} "
                 f"for size={spec.size:g}, tilt={spec.tilt:g}"
             )
-    if not (isinstance(base_points, (int, np.integer)) and base_points >= 2):
-        raise DomainError(f"base_points must be an integer of at least 2, got {base_points!r}")
+    check_count("base_points", base_points, 2)
     for spec, _, _ in windows:
         _check_tilt(spec)
     n = len(windows)

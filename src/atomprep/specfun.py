@@ -1,18 +1,15 @@
 """Special functions for the barrier-matching solver.
 
-Domain-checked Airy pairs (plain and exp-scaled) and a Hermite function
-of arbitrary real degree, built on scipy.special's airy, airye, hyp1f1,
-hyperu and rgamma.  The scaled Airy pair and the Hermite pair take a
-float or an array; an array is evaluated element by element in one call,
-with the same arithmetic as a float.  The plain pair (airy, behind
-scattering.exterior_wave) and airy_wronskian_residual are cross-checks;
-the scan uses the scaled pair.  That pair is scipy's plain airy, scaled
-by exp(+/-chi), up to s = AIRY_CEPHES_MAX = 10, and scipy's exp-scaled
-airye beyond: 10 is where scipy's plain airy leaves Cephes for AMOS, and
-up to there the plain pair is cheaper and at least as accurate.  The
-map's arguments (s in [-0.71, 7.34]) all take the plain route.  The
-Hermite function is the
-decaying-at-+infinity solution of Hermite's equation
+A domain-checked exp-scaled Airy pair and a Hermite function of
+arbitrary real degree, built on scipy.special's airy, airye, hyp1f1,
+hyperu and rgamma.  Both take a float or an array; an array is
+evaluated element by element in one call, with the same arithmetic as
+a float.  The Airy pair is scipy's plain airy, scaled by exp(+/-chi), up
+to s = AIRY_CEPHES_MAX = 10, and scipy's exp-scaled airye beyond: 10 is
+where scipy's plain airy leaves Cephes for AMOS, and up to there the
+plain pair is cheaper and at least as accurate.  The map's arguments
+(s in [-0.71, 7.34]) all take the plain route.  The Hermite function is
+the decaying-at-+infinity solution of Hermite's equation
 
     H'' - 2 x H' + 2 degree H = 0,
 
@@ -56,13 +53,6 @@ SQRT_PI = math.sqrt(math.pi)
 _M_B = np.array([0.5, 1.5, 0.5, 1.5])
 
 
-class AiryPair(NamedTuple):
-    ai: float
-    aip: float
-    bi: float
-    bip: float
-
-
 class ScaledAiryPair(NamedTuple):
     """Exp-scaled Airy values and the scaling exponent chi.
 
@@ -76,20 +66,6 @@ class ScaledAiryPair(NamedTuple):
     bi_e: float
     bip_e: float
     chi: float
-
-
-def airy(s: float) -> AiryPair:
-    """Airy Ai, Ai', Bi, Bi' at real s, |s| <= 200.
-
-    Values outside roughly |s| ~ 105 overflow (Bi) or underflow (Ai) in
-    double precision; use airy_scaled for barrier work at large s.
-    """
-    if not math.isfinite(s):
-        raise DomainError(f"airy argument must be finite, got {s}")
-    if abs(s) > AIRY_ARG_MAX:
-        raise DomainError(f"airy argument |s| <= {AIRY_ARG_MAX}, got {s}")
-    ai, aip, bi, bip = _sp.airy(s)
-    return AiryPair(float(ai), float(aip), float(bi), float(bip))
 
 
 def airy_scaled(s):
@@ -223,9 +199,3 @@ def hermite_pair(degree, x):
     """
     return _pair(*_hermite_args(degree, x))
 
-
-def airy_wronskian_residual(s) -> np.ndarray:
-    """Ai Bi' - Ai' Bi - 1/pi on a grid; a cross-check of the Airy pair."""
-    s = np.asarray(s, dtype=float)
-    ai, aip, bi, bip = _sp.airy(s)
-    return ai * bip - aip * bi - 1.0 / math.pi

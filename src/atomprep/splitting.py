@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _grid
-from .errors import ConfigurationError, DomainError, PathNotFoundError
+from .errors import ConfigurationError, DomainError, PathNotFoundError, check_count
 from .potential import eval_double_well
 
 # Default finite-difference spacing: the three-point stencil error per
@@ -128,10 +128,11 @@ def solve_double_well(
     lowest n_states (see `_grid.lowest_levels`).
     """
 
-    if separation < 0.0:
-        raise DomainError(f"separation must be nonnegative, got {separation}")
-    if n_states < 1:
-        raise DomainError("n_states must be at least 1")
+    if not 0.0 <= separation < math.inf:
+        raise DomainError(f"separation must be finite and nonnegative, got {separation}")
+    if not math.isfinite(tilt):
+        raise DomainError(f"tilt must be finite, got {tilt}")
+    check_count("n_states", n_states, 1)
     spec = grid_spec if grid_spec is not None else default_grid(separation, tilt)
     need = default_grid(separation, tilt).half_width
     if spec.half_width < need - 1e-12:
@@ -199,10 +200,13 @@ def gap_map(
     cell; no cell is left unsolved.
     """
 
-    if nd < 1 or nf < 1:
-        raise DomainError("grid counts must be positive")
-    if d_range[0] < 0.0 or d_range[1] < d_range[0] or f_range[1] < f_range[0]:
-        raise DomainError(f"bad ranges {d_range}, {f_range}")
+    check_count("nd", nd, 1)
+    check_count("nf", nf, 1)
+    d_ok = 0.0 <= d_range[0] <= d_range[1] < math.inf
+    if not (d_ok and -math.inf < f_range[0] <= f_range[1] < math.inf):
+        raise DomainError(
+            f"ranges must be finite and low to high, separations >= 0, got {d_range}, {f_range}"
+        )
     seps = np.linspace(d_range[0], d_range[1], nd)
     tilts = np.linspace(f_range[0], f_range[1], nf)
     # (e0, e1, gap, centroid) per cell; only these four numbers are kept,
@@ -334,8 +338,7 @@ def gap_adaptive_ramp(
     if len(path) < 2:
         d, f = path[0]
         return [(0.0, d, f), (duration, d, f)]
-    if samples < len(path):
-        raise DomainError("samples must be at least the path length")
+    check_count("samples", samples, len(path))
 
     pts = np.asarray(path, dtype=float)
     # Arc position along the path in (d, f) space.

@@ -229,8 +229,10 @@ def test_08_splitting_fidelity(capsys):
 
 
 def test_09_special_function_ladder(capsys):
-    s = np.linspace(-20.0, 20.0, 4001)
-    wronskian_dev = float(np.max(sf.airy_wronskian_residual(s)))
+    # the scaled pair's Wronskian, the identity the matcher enforces: the
+    # exp(+-chi) factors cancel
+    p = sf.airy_scaled(np.linspace(-20.0, 20.0, 4001))
+    wronskian_dev = float(np.max(np.abs(p.ai_e * p.bip_e - p.aip_e * p.bi_e - 1.0 / math.pi)))
     xs = np.linspace(-10.0, 10.0, 41)
     integer_dev = 0.0
     for n in range(1, 10):

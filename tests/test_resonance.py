@@ -98,6 +98,13 @@ class TestFitLorentzian:
         with pytest.raises(NumericalError, match="too steep for the probe step"):
             phase_slope_width(FIG, 0.4, 1e-3)
 
+    @pytest.mark.parametrize("gamma_scale", [math.nan, math.inf, 0.0])
+    def test_phase_slope_width_rejects_bad_gamma_scale(self, gamma_scale):
+        # NaN would reach the matcher as a probe energy, and an infinite
+        # scale never shrinks into the window
+        with pytest.raises(DomainError, match="gamma_scale must be positive and finite"):
+            phase_slope_width(FIG, 0.4, gamma_scale)
+
     def test_phase_slope_consistency_on_reference(self, ground_res):
         assert abs(ground_res.gamma - ground_res.gamma_phase) <= 0.02 * ground_res.gamma
 

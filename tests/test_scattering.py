@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import airy
 
 from atomprep.culling import scan_window
 from atomprep.errors import DomainError, NumericalError
@@ -33,13 +34,11 @@ from atomprep.scattering import (
     _unwrap,
     _wrap,
     energy_cap,
-    exterior_wave,
     interior_wave,
     match_amplitude,
     scan_spectra,
     scan_spectrum,
 )
-from atomprep.specfun import airy
 
 FIG = TrapSpec(4.4, 0.5)
 
@@ -109,9 +108,14 @@ class TestMatchAmplitude:
 
     @pytest.mark.parametrize("e", [0.2, 0.366, 1.1])
     def test_recomposition_continuous_at_edge(self, e):
+        # the exterior alpha Ai(s) + beta Bi(s) at the edge, in the
+        # interior solution's normalization
         m = match_amplitude(FIG, e)
         inside, _ = interior_wave(FIG, e, FIG.edge)
-        outside = exterior_wave(m, FIG, FIG.edge)
+        sigma = (2.0 * FIG.tilt) ** (1.0 / 3.0)
+        turning = (e - 0.125 * FIG.size**2) / FIG.tilt
+        ai, _, bi, _ = airy(sigma * (FIG.edge - turning))
+        outside = (m.ai_coeff * ai + m.bi_coeff * bi) / m.interior_amplitude
         assert outside == pytest.approx(inside, rel=1e-10)
 
     def test_response_is_exp_log_response(self):
@@ -194,11 +198,6 @@ class TestMatchAmplitude:
         window[(n - 1) // 2], window[-1] = 3.0, 4.0
         with pytest.raises(DomainError, match="energy 3 not finite or at or above"):
             match_amplitude(FIG, window)
-
-    def test_exterior_wave_rejects_interior_points(self):
-        m = match_amplitude(FIG, 0.7)
-        with pytest.raises(DomainError):
-            exterior_wave(m, FIG, FIG.edge + 0.5)
 
 
 class TestScanSpectrum:
@@ -733,9 +732,9 @@ def _turning_point_wall_roots(spec, center, half_width):
 
     def mismatch(e):
         u_edge = sigma * (geo.edge_height - e) / spec.tilt
-        pair = airy(u_edge)
-        w = pair.ai * bi0 - pair.bi * ai0
-        wp = pair.aip * bi0 - pair.bip * ai0
+        ai, aip, bi, bip = airy(u_edge)
+        w = ai * bi0 - bi * ai0
+        wp = aip * bi0 - bip * ai0
         val, der = interior_wave(spec, e, spec.edge)
         return der / val - sigma * wp / w
 

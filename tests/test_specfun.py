@@ -29,18 +29,33 @@ def _dh(degree, x):
     return sf.hermite_pair(degree, x)[1]
 
 
+def _mp_scaled(s: float, chi: float) -> tuple:
+    # mpmath's pair at s, scaled by exp(+-chi) for the chi returned
+    x, c = mpmath.mpf(s), mpmath.mpf(chi)
+    return (mpmath.airyai(x) * mpmath.exp(c), mpmath.airyai(x, 1) * mpmath.exp(c),
+            mpmath.airybi(x) * mpmath.exp(-c), mpmath.airybi(x, 1) * mpmath.exp(-c))
+
+
+def _wronskian_residual(pair):
+    # the scaled pair's Wronskian: the exp(+-chi) factors cancel
+    return pair.ai_e * pair.bip_e - pair.aip_e * pair.bi_e - 1.0 / math.pi
+
+
 class TestAiry:
+    """Oracles for airy_scaled, the Airy pair the matcher runs."""
+
     def test_closed_forms_at_zero(self):
-        pair = sf.airy(0.0)
+        pair = sf.airy_scaled(0.0)
         ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
         bi0 = 3.0 ** (-1.0 / 6.0) / math.gamma(2.0 / 3.0)
-        assert _rel(pair.ai, ai0) < 1e-14
-        assert _rel(pair.bi, bi0) < 1e-14
-        assert abs(pair.ai - 0.3550280539) < 1e-10
-        assert abs(pair.bi - 0.6149266274) < 1e-10
+        assert pair.chi == 0.0
+        assert _rel(pair.ai_e, ai0) < 1e-14
+        assert _rel(pair.bi_e, bi0) < 1e-14
+        assert abs(pair.ai_e - 0.3550280539) < 1e-10
+        assert abs(pair.bi_e - 0.6149266274) < 1e-10
         # derivatives at zero: -3^(-1/3)/Gamma(1/3) and 3^(1/6)/Gamma(1/3)
-        assert _rel(pair.aip, -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)) < 1e-14
-        assert _rel(pair.bip, 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)) < 1e-14
+        assert _rel(pair.aip_e, -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)) < 1e-14
+        assert _rel(pair.bip_e, 3.0 ** (1.0 / 6.0) / math.gamma(1.0 / 3.0)) < 1e-14
 
     def test_maclaurin_series_oracle_at_one(self):
         # Ai(s) = Ai(0) f(s) + Ai'(0) g(s), 30 terms of each series
@@ -55,53 +70,50 @@ class TestAiry:
             f_sum += f_term
             g_sum += g_term
         oracle = ai0 * f_sum + aip0 * g_sum
-        assert _rel(sf.airy(1.0).ai, oracle) < 1e-12
-        assert abs(sf.airy(1.0).ai - 0.1352924163) < 1e-9
+        pair = sf.airy_scaled(s)
+        ai = pair.ai_e * math.exp(-pair.chi)
+        assert _rel(ai, oracle) < 1e-12
+        assert abs(ai - 0.1352924163) < 1e-9
 
     @pytest.mark.parametrize("s", [-199.0, -45.3, -12.7, -3.2, -0.7, 0.4, 2.9, 8.0, 41.0, 102.5])
     def test_against_mpmath(self, s):
-        pair = sf.airy(s)
-        want = (
-            mpmath.airyai(s),
-            mpmath.airyai(s, 1),
-            mpmath.airybi(s),
-            mpmath.airybi(s, 1),
-        )
-        for got, ref in zip(pair, want):
+        # s <= 0 (chi = 0) compares the plain values; s > 0 the scaled ones
+        pair = sf.airy_scaled(s)
+        for got, ref in zip(pair[:4], _mp_scaled(s, pair.chi)):
             ref = float(ref)
             scale = max(abs(ref), 1e-30)
             assert abs(got - ref) / scale < 1e-10
 
     def test_wronskian_grid(self):
         grid = np.linspace(-20.0, 20.0, 1000)
-        resid = sf.airy_wronskian_residual(grid)
+        resid = _wronskian_residual(sf.airy_scaled(grid))
         assert resid.shape == grid.shape
         assert np.max(np.abs(resid)) <= 1e-12
 
     def test_wronskian_from_pair(self):
         for s in (-17.2, -4.4, 0.0, 1.32, 6.5, 19.9):
-            p = sf.airy(s)
-            assert abs(p.ai * p.bip - p.aip * p.bi - 1.0 / math.pi) <= 1e-12
+            assert abs(_wronskian_residual(sf.airy_scaled(s))) <= 1e-12
 
-    @pytest.mark.parametrize("s", [200.5, -200.5, math.inf, math.nan])
+    @pytest.mark.parametrize("s", [-200.5, math.inf, math.nan])
     def test_domain(self, s):
         with pytest.raises(DomainError):
-            sf.airy(s)
+            sf.airy_scaled(s)
 
     def test_boundary_arguments_accepted(self):
-        assert math.isfinite(sf.airy(200.0).ai)
-        assert math.isfinite(sf.airy(-200.0).ai)
+        assert math.isfinite(sf.airy_scaled(200.0).ai_e)
+        assert math.isfinite(sf.airy_scaled(-200.0).ai_e)
 
 
 class TestAiryScaled:
     def test_matches_plain_in_overlap(self):
+        # unscaled, the pair is mpmath's where the plain values are
+        # representable
         for s in (0.5, 4.0, 20.0, 60.0):
             scaled = sf.airy_scaled(s)
-            plain = sf.airy(s)
-            assert _rel(scaled.ai_e * math.exp(-scaled.chi), plain.ai) < 1e-12
-            assert _rel(scaled.bi_e * math.exp(scaled.chi), plain.bi) < 1e-12
-            assert _rel(scaled.aip_e * math.exp(-scaled.chi), plain.aip) < 1e-12
-            assert _rel(scaled.bip_e * math.exp(scaled.chi), plain.bip) < 1e-12
+            grow, decay = math.exp(scaled.chi), math.exp(-scaled.chi)
+            plain = (mpmath.airyai(s), mpmath.airyai(s, 1), mpmath.airybi(s), mpmath.airybi(s, 1))
+            for value, factor, ref in zip(scaled[:4], (decay, decay, grow, grow), plain):
+                assert _rel(value * factor, float(ref)) < 1e-12
 
     def test_chi_is_airy_phase_exponent(self):
         for s in (1.0, 9.0, 400.0):
@@ -118,10 +130,9 @@ class TestAiryScaled:
 
     def test_negative_side_unscaled(self):
         scaled = sf.airy_scaled(-3.7)
-        plain = sf.airy(-3.7)
         assert scaled.chi == 0.0
-        assert scaled.ai_e == plain.ai
-        assert scaled.bip_e == plain.bip
+        assert _rel(scaled.ai_e, float(mpmath.airyai(-3.7))) < 1e-13
+        assert _rel(scaled.bip_e, float(mpmath.airybi(-3.7, 1))) < 1e-13
 
     def test_negative_domain_still_bounded(self):
         with pytest.raises(DomainError):
@@ -141,20 +152,13 @@ class TestAiryScaled:
         scalar = np.array([tuple(sf.airy_scaled(float(x))) for x in s]).T
         assert pair.tobytes() == scalar.tobytes()
 
-    @staticmethod
-    def _mp_scaled(s: float, chi: float) -> tuple:
-        # mpmath's pair at s, scaled by exp(+-chi) for the chi returned
-        x, c = mpmath.mpf(s), mpmath.mpf(chi)
-        return (mpmath.airyai(x) * mpmath.exp(c), mpmath.airyai(x, 1) * mpmath.exp(c),
-                mpmath.airybi(x) * mpmath.exp(-c), mpmath.airybi(x, 1) * mpmath.exp(-c))
-
     def test_scaled_pair_against_mpmath_across_routes(self):
         # (0, 12] spans the switch at AIRY_CEPHES_MAX = 10; measured worst
         # 1.2e-14 on the plain (Cephes) route and 3.2e-14 on airye (AMOS)
         for s in np.linspace(0.0, 12.0, 241)[1:].tolist():
             got = sf.airy_scaled(s)
             bound = 2e-14 if s <= sf.AIRY_CEPHES_MAX else 5e-14
-            for value, ref in zip(got[:4], self._mp_scaled(s, got.chi)):
+            for value, ref in zip(got[:4], _mp_scaled(s, got.chi)):
                 assert float(abs((value - ref) / ref)) < bound, s
 
     def test_continuous_at_route_switch(self):
@@ -162,7 +166,7 @@ class TestAiryScaled:
         # one (about 5e-11) to within the two routes' rounding
         below, above = sf.AIRY_CEPHES_MAX - 1e-9, sf.AIRY_CEPHES_MAX + 1e-9
         lo, hi = sf.airy_scaled(below), sf.airy_scaled(above)
-        want_lo, want_hi = self._mp_scaled(below, lo.chi), self._mp_scaled(above, hi.chi)
+        want_lo, want_hi = _mp_scaled(below, lo.chi), _mp_scaled(above, hi.chi)
         for k in range(4):
             step = hi[k] / lo[k] - 1.0
             assert abs(step - float(want_hi[k] / want_lo[k] - 1)) < 1e-13

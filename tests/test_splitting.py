@@ -104,6 +104,15 @@ class TestSolveDoubleWell:
         with pytest.raises(ConfigurationError):
             GridSpec(-1.0, 0.01)
 
+    @pytest.mark.parametrize("separation,tilt,name", [
+        (math.nan, 0.1, "separation"), (math.inf, 0.1, "separation"),
+        (1.0, math.nan, "tilt"), (1.0, -math.inf, "tilt"),
+    ])
+    def test_non_finite_input_named(self, separation, tilt, name):
+        # named before the default grid is built from it
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            solve_double_well(separation, tilt)
+
     def test_default_grid_covers_wells(self):
         gs = default_grid(6.0, 0.2)
         assert gs.half_width >= 3.0 + 1.0  # minima at +-d/2 plus margin
@@ -304,6 +313,13 @@ class TestGapMap:
             gap_map((0.0, 5.0), (0.0, 0.1), 0, 3)
         with pytest.raises(DomainError):
             gap_map((5.0, 0.0), (0.0, 0.1), 3, 3)
+
+    @pytest.mark.parametrize("d_range,f_range", [
+        ((0.0, 1.0), (math.nan, 0.1)), ((0.0, math.nan), (0.0, 0.1)), ((0.0, 1.0), (0.0, math.inf)),
+    ])
+    def test_non_finite_range_named(self, d_range, f_range):
+        with pytest.raises(DomainError, match="^ranges must be finite"):
+            gap_map(d_range, f_range, 2, 2)
 
     def test_bad_spacing_raises(self):
         # no cell can be solved, so the survey raises instead of
