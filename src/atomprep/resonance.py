@@ -141,6 +141,13 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
             )
 
     h = _PHASE_STEP * scale
+    # the central step is 0 where e0 +- h round to e0, leaving only the
+    # subtracted tail term as the "slope" (a NaN e0 reaches the matcher's
+    # check instead)
+    if e0 - h == e0 or e0 + h == e0:
+        raise DomainError(
+            f"gamma_scale {gamma_scale:g} too small: probes e0 +- {h:g} round to e0={e0:g}"
+        )
     near, far = _BG_PROBE_NEAR * scale, _BG_PROBE_FAR * scale
     # the six probe phases in one matching call, as (high, low) pairs
     probes = np.array([e0 + h, e0 - h, e0 + far, e0 + near, e0 - near, e0 - far])

@@ -59,14 +59,6 @@ _MIN_PHASE_RISE = 0.3 * math.pi
 # Dense local grid per resolved peak: span in FWHM units, point count.
 PEAK_GRID_SPAN = 8.0
 PEAK_GRID_POINTS = 96
-# Arrays of at most this many energies are matched element by element on
-# the float path.  A one-trap matcher call costs a fixed ~95 us as an
-# array and ~15 us per energy as floats (2-core x86 host, scan energies of
-# map cells, best of 3 alternating runs): 1 energy 95 against 15 us, 6
-# energies 99 against 89 us, 8 energies 100 against 119 us, break-even at
-# about 7.  Deep bisection levels of a one-trap scan carry
-# 1-3 energies; a block of traps carries more until its last traps finish.
-_FLOAT_PATH_MAX = 6
 
 
 def energy_cap(spec: TrapSpec) -> float:
@@ -175,14 +167,12 @@ def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
 
     energy may be an array: every energy is matched in the same call,
     element by element, and a float energy goes through the same
-    arithmetic.  An array of at most _FLOAT_PATH_MAX energies runs each
-    element on the float path, with bitwise the same results.  An
-    energy at or above size^2/8 raises DomainError, and a lost Airy
-    Wronskian or a trivial interior solution raises NumericalError, each
-    naming the first energy it happened at.  A larger array runs each
-    check over all energies before the next, so when energies fail
-    different checks it names the first energy that fails the earliest
-    check; a small array names the first energy that fails any.
+    arithmetic.  An energy at or above size^2/8 raises DomainError, and
+    a lost Airy Wronskian or a trivial interior solution raises
+    NumericalError, each naming the first energy it happened at.  An
+    array runs each check over all energies before the next, so when
+    energies fail different checks it names the first energy that fails
+    the earliest check.
     """
 
     energy = as_floats(energy)
@@ -197,26 +187,12 @@ def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
             f"(0, {top:g})"
         )
 
-    return MatchResult(energy, *_matched(_Trap.of(spec), energy))
+    return MatchResult(energy, *_match(_Trap.of(spec), energy))
 
 
 def _check_tilt(spec: TrapSpec) -> None:
     if spec.tilt == 0.0:
         raise DomainError("zero tilt: exterior is flat, no open channel to match")
-
-
-def _matched(trap: _Trap, energy):
-    """_match on checked energies; an array of at most _FLOAT_PATH_MAX
-    energies runs each element on the float path, with its trap's floats."""
-
-    if not (isinstance(energy, np.ndarray) and 0 < energy.size <= _FLOAT_PATH_MAX):
-        return _match(trap, energy)
-    if isinstance(trap.g, np.ndarray):  # a block: one trap per energy
-        traps = [_Trap(*row) for row in np.transpose(trap).tolist()]
-    else:
-        traps = [trap] * energy.size
-    each = [_match(t, e) for t, e in zip(traps, energy.ravel().tolist())]
-    return tuple(np.array(f).reshape(energy.shape) for f in zip(*each))
 
 
 def _match(trap: _Trap, energy):
@@ -506,7 +482,7 @@ def scan_spectra(windows, base_points: int = 160) -> list[Spectrum]:
     def match(energies: np.ndarray, trap: np.ndarray) -> np.ndarray:
         """Match energies[i] on trap[i], keep the samples and return the
         raw phases."""
-        *_, phase, log_r = _matched(_Trap(*columns[:, trap]), energies)
+        *_, phase, log_r = _match(_Trap(*columns[:, trap]), energies)
         chunks.append((energies, trap, log_r, phase))
         return phase
 

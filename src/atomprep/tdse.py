@@ -333,8 +333,8 @@ def absorber_reflection(k0: float) -> float:
     still in transit after twice the flight time counts as reflected.
     """
 
-    if k0 <= 0.0:
-        raise DomainError("k0 must be positive")
+    if not 0.0 < k0 < math.inf:
+        raise DomainError(f"k0 must be positive and finite, got {k0}")
     grid = uniform_grid(-FALL_LENGTH, 10.0)
     cap = downhill_absorber(grid, 0.0)
     sigma = 1.5

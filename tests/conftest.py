@@ -40,18 +40,18 @@ def deep_spectrum():
 def break_airy(monkeypatch):
     """break_airy(spec, window, call, error=None) breaks the Airy pair at
     one energy of a trap: the first energy of the call-th matcher call
-    (scattering._matched) of scan_spectrum(spec, *window).  Without error
+    (scattering._match) of scan_spectrum(spec, *window).  Without error
     its Bi' is doubled there, so the matcher's Wronskian check fails; with
     an exception instance, airy_scaled raises it for any argument holding
     that point."""
 
     def arm(spec, window, call, error=None):
         calls = []
-        matched = scattering._matched
-        monkeypatch.setattr(scattering, "_matched",
-                            lambda trap, energy: calls.append(energy) or matched(trap, energy))
+        match = scattering._match
+        monkeypatch.setattr(scattering, "_match",
+                            lambda trap, energy: calls.append(energy) or match(trap, energy))
         scan_spectrum(spec, *window)
-        monkeypatch.setattr(scattering, "_matched", matched)
+        monkeypatch.setattr(scattering, "_match", match)
         energy = float(calls[call][0])
 
         trap = scattering._Trap.of(spec)

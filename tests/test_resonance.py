@@ -105,6 +105,12 @@ class TestFitLorentzian:
         with pytest.raises(DomainError, match="gamma_scale must be positive and finite"):
             phase_slope_width(FIG, 0.4, gamma_scale)
 
+    def test_phase_slope_width_rejects_a_step_below_float_spacing(self):
+        # e0 +- h round to e0: the central phase step would be 0, and the
+        # subtracted tail term alone would make a tiny "width"
+        with pytest.raises(DomainError, match=r"gamma_scale 1e-300 too small: probes e0 \+- "):
+            phase_slope_width(FIG, 0.366, 1e-300)
+
     def test_phase_slope_consistency_on_reference(self, ground_res):
         assert abs(ground_res.gamma - ground_res.gamma_phase) <= 0.02 * ground_res.gamma
 

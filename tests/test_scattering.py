@@ -20,7 +20,6 @@ from atomprep.errors import DomainError, NumericalError
 from atomprep import scattering
 from atomprep.potential import TrapSpec, trap_geometry
 from atomprep.scattering import (
-    _FLOAT_PATH_MAX,
     PEAK_GRID_POINTS,
     PEAK_GRID_SPAN,
     _MIN_PHASE_RISE,
@@ -152,10 +151,10 @@ class TestMatchAmplitude:
         with pytest.raises(DomainError, match="energy -0.1 outside"):
             match_amplitude(FIG, np.array([0.5, -0.1, -0.2]))
 
-    @pytest.mark.parametrize("n", range(1, _FLOAT_PATH_MAX + 3))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_small_arrays_equal_the_full_array_call_bit_for_bit(self, n, monkeypatch):
-        # arrays of at most _FLOAT_PATH_MAX energies run element by element
-        # on the float path; windows straddle the barrier top, so both Airy
+        # a short array runs the one array kernel in one call and gets the
+        # full call's bits; windows straddle the barrier top, so both Airy
         # branches show up at every size
         top = trap_geometry(FIG).edge_height
         energies = np.linspace(top - 0.6, top + 0.6, 50)
@@ -172,7 +171,7 @@ class TestMatchAmplitude:
             kernel_calls.clear()
             window = energies[start:start + n].copy()
             small = match_amplitude(FIG, window)
-            assert kernel_calls == ([0] * n if n <= _FLOAT_PATH_MAX else [1])
+            assert kernel_calls == [1]
             assert small.energy is window
             for name in ("ai_coeff", "bi_coeff", "interior_amplitude", "phase",
                          "log_response"):
@@ -187,7 +186,7 @@ class TestMatchAmplitude:
         assert small.phase.shape == (2, 2)
         assert small.phase[1, 1] == full.phase[-1]
 
-    @pytest.mark.parametrize("n", range(2, _FLOAT_PATH_MAX + 3))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_small_array_error_names_first_bad_energy(self, n):
         window = np.linspace(0.3, 1.4, n)
         window[(n - 1) // 2], window[-1] = -0.1, -0.2
@@ -396,13 +395,13 @@ class TestSampleStoreEquivalence:
     def test_spectrum_bitwise_equal(self, spec, window, n_peaks, n_narrow, monkeypatch):
         # the reference's match_amplitude calls reach the same kernel
         calls = []
-        matched = scattering._matched
+        match = scattering._match
 
         def recorded(trap, energy):
             calls.append(np.sort(energy))
-            return matched(trap, energy)
+            return match(trap, energy)
 
-        monkeypatch.setattr(scattering, "_matched", recorded)
+        monkeypatch.setattr(scattering, "_match", recorded)
         sp = scan_spectrum(spec, *window)
         got_calls, calls[:] = calls[:], []
         e, log_r, phases, peaks = _reference_scan(spec, *window)
@@ -457,15 +456,14 @@ class TestBlockScan:
         assert fig.peaks[1].resolved and 0.0 < top - fig.peaks[1].center < 0.05
         assert [p.resolved for p in deep.peaks] == [False, False, False]
 
-    @pytest.mark.parametrize("n", [2, _FLOAT_PATH_MAX, 40])
+    @pytest.mark.parametrize("n", [2, 6, 40])
     def test_block_kernel_equals_per_trap_calls(self, n):
-        # energies of three traps in one call, on the float path up to
-        # _FLOAT_PATH_MAX energies and as arrays above
+        # energies of three traps in one call
         specs = [spec for spec, _ in BLOCK_TRAPS[:3]]
         trap = np.arange(n) % 3
         energies = np.linspace(0.3, 1.3, n)
         columns = np.array([scattering._Trap.of(spec) for spec in specs]).T.copy()
-        block = scattering._matched(scattering._Trap(*columns[:, trap]), energies)
+        block = scattering._match(scattering._Trap(*columns[:, trap]), energies)
         for t, spec in enumerate(specs):
             m = match_amplitude(spec, energies[trap == t])
             want = (m.ai_coeff, m.bi_coeff, m.interior_amplitude, m.phase, m.log_response)
@@ -474,24 +472,28 @@ class TestBlockScan:
 
     def test_one_matcher_call_per_level(self, monkeypatch):
         calls = []
-        matched = scattering._matched
+        match = scattering._match
 
         def counted(trap, energy):
-            calls.append(np.size(energy))
-            return matched(trap, energy)
+            calls.append(energy)
+            return match(trap, energy)
 
-        monkeypatch.setattr(scattering, "_matched", counted)
+        monkeypatch.setattr(scattering, "_match", counted)
         single = []
         for spec, w in BLOCK_TRAPS:
             calls.clear()
             scan_spectrum(spec, *w)
+            # every call, the deep levels of 1-3 energies too, reaches the
+            # kernel as one array
+            assert all(type(e) is np.ndarray for e in calls)
             single.append(len(calls))
+        assert min(e.size for e in calls) <= 3
         calls.clear()
         scan_spectra([(spec, *w) for spec, w in BLOCK_TRAPS])
         # base grids, each bisection level and the peak grids: at most one
         # call more than the deepest single scan
         assert len(calls) <= max(single) + 1 < sum(single)
-        assert calls[0] == 160 * len(BLOCK_TRAPS)
+        assert calls[0].size == 160 * len(BLOCK_TRAPS)
 
     def test_scan_leaves_no_reference_cycle(self):
         # a block's samples are freed when its scan returns, not at the

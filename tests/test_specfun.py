@@ -143,8 +143,8 @@ class TestAiryScaled:
     def test_array_equals_scalar_calls(self):
         # each element takes the route of its own range: the plain pair
         # at s <= 0, the scaled plain pair up to AIRY_CEPHES_MAX and airye
-        # beyond; the scan's float path and array path must agree bit
-        # for bit, so the map's argument range is sampled densely
+        # beyond; a float energy (the survival integrand's) and an array
+        # must agree bit for bit, so the map's argument range is sampled densely
         edge = sf.AIRY_CEPHES_MAX
         special = [-7.5, -0.3, 0.0, 0.02, 3.1, 9.999, edge, 10.001, 60.0, 400.0]
         s = np.concatenate((special, np.random.default_rng(26).uniform(-0.71, 7.34, 1200)))

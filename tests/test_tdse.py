@@ -8,6 +8,7 @@ run.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +464,14 @@ class TestAbsorber:
     def test_momentum_must_be_positive(self):
         with pytest.raises(DomainError):
             absorber_reflection(0.0)
+
+    @pytest.mark.parametrize("k0", [math.nan, math.inf, -math.inf])
+    def test_momentum_must_be_finite(self, k0):
+        # rejected by name before any grid is built, so numpy never warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="k0 must be positive and finite"):
+                absorber_reflection(k0)
 
 
 class TestExponentialLaw:
