@@ -19,7 +19,7 @@ from .errors import (
     WidthUnresolvedError,
 )
 from .potential import TrapSpec, TrapGeometry, eval_trap, eval_double_well, trap_geometry
-from .units import UnitSystem, force_from_gradient, lithium6_system, unit_system
+from .units import UnitSystem, force_from_gradient, lithium6_system
 
 __version__ = "0.1.0"
 
@@ -39,6 +39,5 @@ __all__ = [
     "UnitSystem",
     "force_from_gradient",
     "lithium6_system",
-    "unit_system",
     "__version__",
 ]

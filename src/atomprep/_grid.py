@@ -26,9 +26,7 @@ states below it deflated, until its residual is at most _RESIDUAL
 eps |H|.  Sturm counts (dstebz) then certify the indices.  Indices the
 start block misses take their shifts from a Sturm bisection by index
 and start from a seeded vector of no parity.  A level that cannot be
-certified raises NumericalError; none is returned unchecked.  The
-iteration's products are unconjugated, so the same kernel takes a
-complex diagonal and shift.
+certified raises NumericalError; none is returned unchecked.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, solve_banded
-from scipy.linalg.lapack import dpttrf, dpttrs, dstebz, zgesv
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz, zgesv
 
 from .errors import ConfigurationError, DomainError, NumericalError
 
@@ -248,20 +246,16 @@ def _rayleigh_iteration(diag: np.ndarray, off: float, shift, x: np.ndarray,
                         found: list, tol: float):
     """Eigenpair of H by shift-invert Rayleigh-quotient iteration.
 
-    A step solves (H - shift) y = x by gtsv, removes the found states
+    A step solves (H - shift) y = x by dgtsv, removes the found states
     from y and normalizes it; its Rayleigh quotient is the next shift.
     The iteration stops once |H x - shift x| <= tol and raises
-    NumericalError after _RQI_STEPS steps without.  The products are
-    unconjugated (x.x, x.Hx), which is the Rayleigh quotient of a real
-    symmetric H and of a complex symmetric one alike, so a complex
-    diagonal or shift takes the same steps through zgtsv.
+    NumericalError after _RQI_STEPS steps without.
     """
     a = diag - shift
-    gtsv, = get_lapack_funcs(("gtsv",), (a, x))
     for _ in range(_RQI_STEPS):
-        band = np.full(len(a) - 1, off, dtype=a.dtype)
-        # gtsv overwrites all three diagonals, and x with the solution.
-        *_, x, info = gtsv(band, a, band.copy(), x, 1, 1, 1, 1)
+        band = np.full(len(a) - 1, off)
+        # dgtsv overwrites all three diagonals, and x with the solution.
+        *_, x, info = dgtsv(band, a, band.copy(), x, 1, 1, 1, 1)
         if info:
             raise NumericalError(f"H - {shift:g} is singular (gtsv info {info})")
         for q in found:

@@ -369,7 +369,7 @@ def _cmd_split_fidelity(cfg: RunConfig):
 
 def _cmd_units(cfg: RunConfig):
     omega = 2.0 * math.pi * cfg["omega_hz"]
-    u = units.unit_system(cfg["mass"], omega)
+    u = units.UnitSystem(mass=cfg["mass"], omega=omega)
     doc = {
         "omega_rad_per_s": omega,
         "mass_kg": cfg["mass"],

@@ -108,15 +108,6 @@ class CullingPoint:
     def fidelity(self) -> float:
         return 1.0 - self.ground_loss
 
-    @property
-    def first_order_loss(self) -> float:
-        """Small-loss approximation gamma0 * t_hold.
-
-        Satisfies first_order_loss * tau0_over_tau1 = -ln(residual) exactly,
-        which the full exponential loss only approaches from below.
-        """
-        return self.gamma0 * self.t_hold
-
 
 def excited_level_estimate(tilt: float) -> float:
     """Harmonic estimate of the first excited level, 3/2 shifted by the tilt."""
@@ -330,11 +321,6 @@ def fidelity_map(
     _check_target(residual_target)
     z_grid = np.linspace(float(z_range[0]), float(z_range[1]), nz)
     f_grid = np.linspace(float(f_range[0]), float(f_range[1]), nf)
-    # validate the whole grid up front: the worst case is smallest z, largest f
-    for z in (z_grid[0], z_grid[-1]):
-        for f in (f_grid[0], f_grid[-1]):
-            TrapSpec(float(z), float(f))
-
     specs = [TrapSpec(float(z), float(f)) for z in z_grid for f in f_grid]
     cells = [MapCell(spec.size, spec.tilt, STATUS_OUT_OF_RANGE) for spec in specs]
     bound = [k for k, spec in enumerate(specs) if excited_state_bound(spec)]

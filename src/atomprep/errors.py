@@ -58,6 +58,7 @@ class PathNotFoundError(NumericalError):
 
 
 def check_count(name: str, value, least: int) -> None:
-    """Raise DomainError unless value is an integer (Python or numpy) >= least."""
-    if not (isinstance(value, Integral) and value >= least):
+    """Raise DomainError unless value is an integer (Python or numpy, not a
+    bool) >= least."""
+    if not (isinstance(value, Integral) and not isinstance(value, bool) and value >= least):
         raise DomainError(f"{name} must be an integer of at least {least}, got {value!r}")

@@ -66,21 +66,13 @@ class TrapSpec:
 class TrapGeometry:
     """Derived landmarks of a truncated tilted trap.
 
-    minimum_position : float
-        Location of the well minimum, -tilt.
-    minimum_energy : float
-        Potential at the minimum, -tilt^2/2.
-    edge_position : float
-        Barrier top location, -size/2.
     edge_height : float
         Potential at the barrier top, size^2/8 - tilt*size/2.
     depth : float
-        edge_height - minimum_energy = (size/2 - tilt)^2 / 2.
+        edge_height less the minimum potential -tilt^2/2, that is
+        (size/2 - tilt)^2 / 2.
     """
 
-    minimum_position: float
-    minimum_energy: float
-    edge_position: float
     edge_height: float
     depth: float
 
@@ -99,13 +91,7 @@ def trap_geometry(spec: TrapSpec) -> TrapGeometry:
     half = 0.5 * spec.size
     edge_height = half * half / 2.0 - spec.tilt * half
     minimum_energy = -0.5 * spec.tilt * spec.tilt
-    return TrapGeometry(
-        minimum_position=-spec.tilt,
-        minimum_energy=minimum_energy,
-        edge_position=-half,
-        edge_height=edge_height,
-        depth=edge_height - minimum_energy,
-    )
+    return TrapGeometry(edge_height=edge_height, depth=edge_height - minimum_energy)
 
 
 def eval_double_well(separation: float, tilt: float, x) -> np.ndarray | float:

@@ -47,7 +47,7 @@ from scipy.optimize import leastsq
 
 from . import scattering
 from ._arrays import first_failing
-from .errors import DomainError, NumericalError, WidthUnresolvedError
+from .errors import DomainError, NumericalError, WidthUnresolvedError, check_count
 from .potential import TrapSpec
 from .scattering import Spectrum
 
@@ -71,8 +71,8 @@ class Resonance:
     """Fitted Lorentzian line of one resolved quasi-bound level.
 
     gamma is the Lorentzian FWHM and tau = 1/gamma the lifetime.
-    amplitude and background are in response units (log_amplitude stays
-    finite when the peak response overflows).
+    log_amplitude is the log of the line's peak height above its
+    background, in response units (finite when that height overflows).
 
     gamma_phase (the independent phase-slope width) and
     fit_residual_gauss (the Gaussian score of the final fit window) are
@@ -83,8 +83,6 @@ class Resonance:
 
     e0: float
     gamma: float
-    amplitude: float
-    background: float
     fit_residual_lorentz: float
     log_amplitude: float
     # inputs of the lazy diagnostics: the trap, and the final fit window
@@ -126,11 +124,14 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
     +-0.05 gamma_scale, background secants at 6-8 gamma_scale); for a
     resolved peak pass the fitted width.  The smooth background slope
     and the finite-step Breit-Wigner bias are both removed analytically.
+    An e0 outside (0, energy_cap) raises DomainError.
     """
 
     if not 0.0 < gamma_scale < math.inf:
         raise DomainError(f"gamma_scale must be positive and finite, got {gamma_scale}")
     cap = scattering.energy_cap(spec)
+    if not 0.0 < e0 < cap:
+        raise DomainError(f"e0={e0:g} outside the usable window (0, {cap:g})")
     scale = gamma_scale
     # Shrink the probe pattern if the far probes leave the usable window.
     while e0 + _BG_PROBE_FAR * scale >= cap or e0 - _BG_PROBE_FAR * scale <= 0.0:
@@ -142,8 +143,7 @@ def phase_slope_width(spec: TrapSpec, e0: float, gamma_scale: float) -> float:
 
     h = _PHASE_STEP * scale
     # the central step is 0 where e0 +- h round to e0, leaving only the
-    # subtracted tail term as the "slope" (a NaN e0 reaches the matcher's
-    # check instead)
+    # subtracted tail term as the "slope"
     if e0 - h == e0 or e0 + h == e0:
         raise DomainError(
             f"gamma_scale {gamma_scale:g} too small: probes e0 +- {h:g} round to e0={e0:g}"
@@ -203,12 +203,14 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
 
     Raises WidthUnresolvedError for unresolved-narrow peaks, carrying
     the bisection-floor bracket as an upper bound on the width, and
-    DomainError for a negative or too large peak_index.  Only the two
-    Lorentzian passes run here; the record's gamma_phase and
-    fit_residual_gauss are computed when first read.
+    DomainError for a peak_index that is not an integer (a bool is not),
+    negative or too large.  Only the two Lorentzian passes run here; the
+    record's gamma_phase and fit_residual_gauss are computed when first
+    read.
     """
 
-    if not 0 <= peak_index < len(spectrum.peaks):
+    check_count("peak_index", peak_index, 0)
+    if not peak_index < len(spectrum.peaks):
         raise DomainError(
             f"peak_index {peak_index} out of range ({len(spectrum.peaks)} peaks)"
         )
@@ -236,10 +238,10 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
         ref = float(np.max(log_r))
         xi = (e - e0) / gamma
         q = np.exp(log_r - ref)
-        (a, x0, w, b), res_l = _fit(_lorentz, xi, q, 1.0)
+        (a, x0, w, _), res_l = _fit(_lorentz, xi, q, 1.0)
         e0, gamma = e0 + float(x0) * gamma, abs(float(w)) * gamma
 
-    a, b = float(a), float(b)
+    a = float(a)
     if gamma <= 0.0 or not math.isfinite(gamma):
         raise NumericalError(f"Lorentzian fit collapsed at {e0:g}")
 
@@ -247,8 +249,6 @@ def fit_lorentzian(spectrum: Spectrum, peak_index: int) -> Resonance:
     return Resonance(
         e0=e0,
         gamma=gamma,
-        amplitude=a * math.exp(ref),
-        background=b * math.exp(ref),
         fit_residual_lorentz=res_l,
         log_amplitude=log_amp,
         _trap=spectrum.trap,

@@ -4,16 +4,13 @@ At each energy the interior of the trap carries the decaying-at-+infinity
 Hermite solution and the linear exterior ramp carries an Airy
 superposition alpha*Ai + beta*Bi.  Requiring the wavefunction to be
 continuous and differentiable at the trap edge fixes (alpha, beta) up to
-normalization; with the exterior normalized to alpha^2 + beta^2 = 1 the
-squared interior amplitude
-
-    response(E) = interior_amplitude(E)^2
-
-peaks sharply at the quasi-bound levels and plays the role of a
-density-of-states measure.  The matching phase atan2(beta, alpha) rises
-by ~pi across each resonance, which is what the adaptive scan keys on:
-phase jumps are detectable at any linewidth, while response maxima on a
-uniform grid are not.
+normalization.  The response, the squared interior amplitude under the
+exterior normalization alpha^2 + beta^2 = 1, is 1 / (alpha^2 + beta^2)
+for a unit interior amplitude; it peaks sharply at the quasi-bound
+levels and plays the role of a density-of-states measure.  The matching
+phase atan2(beta, alpha) rises by ~pi across each resonance, which is
+what the adaptive scan keys on: phase jumps are detectable at any
+linewidth, while response maxima on a uniform grid are not.
 
 All matching arithmetic runs in exp-scaled Airy variables so that deep
 barriers (scaling exponents of order 1e4) neither overflow nor lose the
@@ -73,8 +70,8 @@ def energy_cap(spec: TrapSpec) -> float:
     return min(shelf, trap_geometry(spec).edge_height + SCAN_CAP_MARGIN)
 
 
-def interior_wave(spec: TrapSpec, energy, x=None):
-    """Value and derivative of the interior solution, default at the edge.
+def interior_wave(spec: TrapSpec, energy, x):
+    """Value and derivative of the interior solution at x.
 
     The interior solution of the tilted parabola V = x^2/2 + f*x at
     energy E is exp(-u^2/2) * H_nu(u) with u = x + f and degree
@@ -85,7 +82,7 @@ def interior_wave(spec: TrapSpec, energy, x=None):
 
     energy = as_floats(energy)
     _check_below_shelf(energy, 0.125 * spec.size * spec.size)
-    u = (spec.edge if x is None else as_floats(x)) + spec.tilt
+    u = as_floats(x) + spec.tilt
     return _interior(energy + 0.5 * spec.tilt * spec.tilt - 0.5, u, np.exp(-0.5 * u * u))
 
 
@@ -132,26 +129,14 @@ class _Trap(NamedTuple):
 class MatchResult:
     """Matched solution at one energy, or at each of an array of energies.
 
-    ai_coeff, bi_coeff are the exterior Airy coefficients normalized to
-    ai_coeff^2 + bi_coeff^2 = 1; interior_amplitude is the (nonnegative)
-    interior prefactor under that normalization, and phase is
-    atan2(bi_coeff, ai_coeff) at each energy on its own (unwrapping
-    happens along a scan).  log_response = 2*ln(interior_amplitude)
-    stays finite when the amplitude itself underflows.  Fields are
-    floats for a float energy and arrays of its shape otherwise.
+    phase is atan2(beta, alpha) of the exterior Airy coefficients at each
+    energy on its own (unwrapping happens along a scan).  log_response is
+    ln(response), finite where the response itself underflows.  Fields
+    are floats for a float energy and arrays of its shape otherwise.
     """
 
-    energy: float | np.ndarray
-    ai_coeff: float | np.ndarray
-    bi_coeff: float | np.ndarray
-    interior_amplitude: float | np.ndarray
     phase: float | np.ndarray
     log_response: float | np.ndarray
-
-    @property
-    def response(self):
-        """Squared interior amplitude, the density-of-states proxy."""
-        return np.exp(self.log_response)
 
 
 def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
@@ -187,7 +172,7 @@ def match_amplitude(spec: TrapSpec, energy) -> MatchResult:
             f"(0, {top:g})"
         )
 
-    return MatchResult(energy, *_match(_Trap.of(spec), energy))
+    return MatchResult(*_match(_Trap.of(spec), energy))
 
 
 def _check_tilt(spec: TrapSpec) -> None:
@@ -196,8 +181,8 @@ def _check_tilt(spec: TrapSpec) -> None:
 
 
 def _match(trap: _Trap, energy):
-    """match_amplitude's arithmetic on checked energies: the MatchResult
-    fields after energy, as floats for a float and arrays for an array.
+    """match_amplitude's arithmetic on checked energies: (phase,
+    log_response), as floats for a float and arrays for an array.
     trap holds floats, or arrays of energy's shape (a block of traps)."""
 
     _check_below_shelf(energy, trap.shelf)
@@ -235,12 +220,13 @@ def _match(trap: _Trap, energy):
 
     # response = 1/(alpha^2 + beta^2) under unit interior amplitude.
     log_response = -np.logaddexp(2.0 * log_alpha, 2.0 * log_beta)
+    # the phase of the normalized pair: alpha and beta themselves may overflow
     half = 0.5 * log_response
     ai_coeff = np.exp(log_alpha + half)
     bi_coeff = np.exp(log_beta + half)
     ai_coeff = where(alpha_s < 0.0, -ai_coeff, ai_coeff)
     bi_coeff = where(beta_s < 0.0, -bi_coeff, bi_coeff)
-    return ai_coeff, bi_coeff, np.exp(half), np.arctan2(bi_coeff, ai_coeff), log_response
+    return np.arctan2(bi_coeff, ai_coeff), log_response
 
 
 @dataclass(frozen=True)
@@ -482,7 +468,7 @@ def scan_spectra(windows, base_points: int = 160) -> list[Spectrum]:
     def match(energies: np.ndarray, trap: np.ndarray) -> np.ndarray:
         """Match energies[i] on trap[i], keep the samples and return the
         raw phases."""
-        *_, phase, log_r = _match(_Trap(*columns[:, trap]), energies)
+        phase, log_r = _match(_Trap(*columns[:, trap]), energies)
         chunks.append((energies, trap, log_r, phase))
         return phase
 

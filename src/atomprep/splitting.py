@@ -95,8 +95,6 @@ class WellLevels:
     inner product.
     """
 
-    separation: float
-    tilt: float
     grid: np.ndarray
     energies: np.ndarray
     wavefunctions: np.ndarray
@@ -147,13 +145,7 @@ def solve_double_well(
     energies, waves = _grid.lowest_levels(
         spec.spacing, eval_double_well(separation, tilt, x), n_states
     )
-    return WellLevels(
-        separation=separation,
-        tilt=tilt,
-        grid=x,
-        energies=energies,
-        wavefunctions=waves,
-    )
+    return WellLevels(grid=x, energies=energies, wavefunctions=waves)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import _grid, splitting
 from ._grid import Drive
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError, check_count
 from .potential import TrapSpec, eval_double_well, eval_trap
 from .resonance import Resonance
 from .scattering import interior_wave
@@ -196,9 +196,9 @@ def propagate(
     not fit the grid or is not orthonormal, a psi0 outside its span, or
     an absorber with a Drive raise ConfigurationError.  Survival is the
     weighted norm over survival_bounds (the full grid when None),
-    sampled at at least min_samples times.  dt must not exceed MAX_DT;
-    t_final is split into round(t_final / dt) equal steps, or into just
-    enough more that none exceeds MAX_DT.
+    sampled at at least min_samples (an integer >= 1) times.  dt must not
+    exceed MAX_DT; t_final is split into round(t_final / dt) equal steps,
+    or into just enough more that none exceeds MAX_DT.
     All inputs are checked before the first step: a non-finite t_final,
     or non-finite values in psi0, the potential, a Drive's profiles,
     basis or weights, or the absorber raise DomainError (a weight names
@@ -210,6 +210,7 @@ def propagate(
         raise ConfigurationError(f"dt must be in (0, {MAX_DT}], got {dt}")
     if not (math.isfinite(t_final) and t_final >= 0.0):
         raise DomainError(f"t_final must be finite and nonnegative, got {t_final}")
+    check_count("min_samples", min_samples, 1)
     grid = psi0.grid
     h = psi0.spacing
     _require_finite("initial state", psi0.values)

@@ -81,9 +81,6 @@ class UnitSystem:
     def time_to_dimensionless(self, seconds: float) -> float:
         return seconds / self.time_scale
 
-    def energy_to_dimensionless(self, joules: float) -> float:
-        return joules / self.energy_scale
-
     def force_to_dimensionless(self, newtons: float) -> float:
         return newtons / self.force_scale
 
@@ -93,17 +90,6 @@ class UnitSystem:
 
     def time_to_si(self, value: float) -> float:
         return value * self.time_scale
-
-    def energy_to_si(self, value: float) -> float:
-        return value * self.energy_scale
-
-    def force_to_si(self, value: float) -> float:
-        return value * self.force_scale
-
-
-def unit_system(mass: float, omega: float) -> UnitSystem:
-    """Build a UnitSystem; validates mass > 0 and omega > 0."""
-    return UnitSystem(mass=mass, omega=omega)
 
 
 def lithium6_system(omega: float) -> UnitSystem:

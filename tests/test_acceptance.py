@@ -122,7 +122,7 @@ def test_04_fidelity_identity_and_map_point(capsys):
     fmap = fidelity_map((4.30, 4.50), (0.20, 0.26), 5, 4)
     points = [fig_pt, headline] + [p for _, _, p in fmap.ok_points()]
     identity_dev = max(
-        abs(p.first_order_loss * p.tau0_over_tau1 - LOG_TARGET) / LOG_TARGET
+        abs(p.gamma0 * p.t_hold * p.tau0_over_tau1 - LOG_TARGET) / LOG_TARGET
         for p in points
     )
     omega = 2.0 * math.pi * 1000.0

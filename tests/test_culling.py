@@ -89,7 +89,7 @@ class TestCullingPoint:
         # gamma0 * t_hold * (gamma1/gamma0) telescopes to -ln(residual)
         # irrespective of the fitted widths
         for p in (fig_point, assemble_point(50.0), assemble_point(7.53e5)):
-            assert p.first_order_loss * p.tau0_over_tau1 == approx(
+            assert p.gamma0 * p.t_hold * p.tau0_over_tau1 == approx(
                 LOG_TARGET, rel=1e-12
             )
 
@@ -102,7 +102,7 @@ class TestCullingPoint:
                 continue
             rel = abs(p.ground_loss * p.tau0_over_tau1 - LOG_TARGET) / LOG_TARGET
             assert rel <= 0.55 * p.ground_loss + 1e-10
-            assert p.first_order_loss * p.tau0_over_tau1 == approx(
+            assert p.gamma0 * p.t_hold * p.tau0_over_tau1 == approx(
                 LOG_TARGET, rel=1e-10
             )
             checked += 1

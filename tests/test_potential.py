@@ -76,9 +76,6 @@ class TestEvalTrap:
 class TestTrapGeometry:
     def test_reference_shape(self):
         geo = trap_geometry(TrapSpec(4.4, 0.5))
-        assert geo.minimum_position == -0.5
-        assert geo.minimum_energy == pytest.approx(-0.125, abs=1e-15)
-        assert geo.edge_position == -2.2
         assert geo.edge_height == pytest.approx(1.32, abs=1e-12)
         assert geo.depth == pytest.approx((2.2 - 0.5) ** 2 / 2.0, abs=1e-12)
 
@@ -86,7 +83,6 @@ class TestTrapGeometry:
         geo = trap_geometry(TrapSpec(4.4, 0.0))
         assert geo.depth == geo.edge_height
         assert geo.depth == pytest.approx(2.42, abs=1e-12)
-        assert geo.minimum_energy == 0.0
 
     def test_degenerate_limit(self):
         eps = 1e-3
@@ -95,8 +91,9 @@ class TestTrapGeometry:
 
     @pytest.mark.parametrize("z,f", SHAPES)
     def test_depth_identity(self, z, f):
+        # the well minimum -f^2/2 lies depth below the barrier top
         geo = trap_geometry(TrapSpec(z, f))
-        assert abs(geo.depth - (geo.edge_height - geo.minimum_energy)) < 1e-14
+        assert abs(geo.depth - (geo.edge_height + 0.5 * f * f)) < 1e-14
 
     @pytest.mark.parametrize("z,f", [(4.4, 0.5), (4.0, 0.3), (5.2, 0.7), (2.5, 1.1)])
     def test_edge_is_local_maximum(self, z, f):

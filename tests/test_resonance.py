@@ -59,8 +59,7 @@ class TestFitLorentzian:
         res = fit_lorentzian(sp, 0)
         assert res.e0 == pytest.approx(0.4, rel=1e-6)
         assert res.gamma == pytest.approx(1e-3, rel=1e-6)
-        assert res.amplitude == pytest.approx(1.0, rel=1e-6)
-        assert abs(res.background) < 1e-6
+        assert res.log_amplitude == pytest.approx(0.0, abs=1e-6)
         assert res.fit_residual_lorentz < 1e-8
         assert res.fit_residual_lorentz < res.fit_residual_gauss
 
@@ -68,7 +67,19 @@ class TestFitLorentzian:
         sp = _synthetic_lorentzian(background=0.05)
         res = fit_lorentzian(sp, 0)
         assert res.gamma == pytest.approx(1e-3, rel=1e-5)
-        assert res.background == pytest.approx(0.05, rel=1e-4)
+        # the unit line height above the background, and a residual that
+        # an unfitted background of 0.05 would leave far above 1e-8
+        assert res.log_amplitude == pytest.approx(0.0, abs=1e-6)
+        assert res.fit_residual_lorentz < 1e-8
+
+    def test_line_taller_than_the_float_range(self):
+        # a peak response of e^800 overflows a float; the fit runs in
+        # peak-scaled units and the record keeps only its logarithm
+        sp = _synthetic_lorentzian()
+        sp = dataclasses.replace(sp, log_responses=sp.log_responses + 800.0)
+        res = fit_lorentzian(sp, 0)
+        assert res.gamma == pytest.approx(1e-3, rel=1e-6)
+        assert res.log_amplitude == pytest.approx(800.0, abs=1e-6)
 
     def test_reference_ground_peak(self, ground_res):
         assert ground_res.e0 == pytest.approx(0.366, abs=0.015)
@@ -83,7 +94,8 @@ class TestFitLorentzian:
     @pytest.mark.parametrize("index", [-1, 2])
     def test_index_out_of_range(self, fig_spectrum, index):
         # -1 must not fit the last peak
-        with pytest.raises(DomainError, match="out of range"):
+        message = "out of range" if index >= 0 else "at least 0, got -1"
+        with pytest.raises(DomainError, match=message):
             fit_lorentzian(fig_spectrum, index)
 
     def test_phase_slope_too_steep_for_probe_step(self, monkeypatch):
@@ -104,6 +116,12 @@ class TestFitLorentzian:
         # scale never shrinks into the window
         with pytest.raises(DomainError, match="gamma_scale must be positive and finite"):
             phase_slope_width(FIG, 0.4, gamma_scale)
+
+    @pytest.mark.parametrize("e0", [-1.0, 0.0, math.nan])
+    def test_phase_slope_width_rejects_e0_outside_the_window(self, e0):
+        # the probe pattern cannot shrink into (0, cap) around e0 <= 0
+        with pytest.raises(DomainError, match=rf"^e0={e0:g} outside the usable window \(0, "):
+            phase_slope_width(FIG, e0, 1e-3)
 
     def test_phase_slope_width_rejects_a_step_below_float_spacing(self):
         # e0 +- h round to e0: the central phase step would be 0, and the
@@ -401,7 +419,7 @@ class TestTruncatedStateOverlap:
             raw = np.zeros_like(grid)
             for i in np.nonzero(inside)[0]:
                 raw[i], _ = interior_wave(FIG, energy, float(grid[i]))
-            response = match_amplitude(FIG, energy).response
+            response = math.exp(match_amplitude(FIG, energy).log_response)
             inner = float(np.sum(raw * state.values.real) * dx)
             return response * inner * inner
 

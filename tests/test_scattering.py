@@ -60,11 +60,6 @@ class TestInteriorWave:
             val, der = interior_wave(spec, 1.5, x)
             assert der / val == pytest.approx(1.0 / x - x, rel=1e-9)
 
-    def test_default_position_is_downhill_edge(self):
-        got = interior_wave(FIG, 0.366)
-        explicit = interior_wave(FIG, 0.366, FIG.edge)
-        assert got == explicit
-
     def test_array_of_positions_equals_per_point_calls(self):
         # the truncated state samples the interior wave on a whole grid in
         # one call: both Hermite routes (u <= 0 and u > 0) in one array
@@ -102,38 +97,46 @@ class TestInteriorWave:
 class TestMatchAmplitude:
     @pytest.mark.parametrize("e", [0.1, 0.366, 0.8, 1.29, 1.5])
     def test_exterior_coefficients_on_unit_circle(self, e):
+        # scipy's plain Airy pair solves the edge match for a unit interior
+        # amplitude; scaled by sqrt(response) that (alpha, beta) is the
+        # unit vector at the matching phase
         m = match_amplitude(FIG, e)
-        assert m.ai_coeff**2 + m.bi_coeff**2 == pytest.approx(1.0, abs=1e-12)
+        value, deriv = interior_wave(FIG, e, FIG.edge)
+        sigma = (2.0 * FIG.tilt) ** (1.0 / 3.0)
+        turning = (e - 0.125 * FIG.size**2) / FIG.tilt
+        ai, aip, bi, bip = airy(sigma * (FIG.edge - turning))
+        alpha, beta = np.linalg.solve([[ai, bi], [sigma * aip, sigma * bip]], [value, deriv])
+        r = math.exp(0.5 * m.log_response)
+        assert (alpha * r) ** 2 + (beta * r) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert alpha * r == pytest.approx(math.cos(m.phase), abs=1e-12)
+        assert beta * r == pytest.approx(math.sin(m.phase), abs=1e-12)
 
     @pytest.mark.parametrize("e", [0.2, 0.366, 1.1])
     def test_recomposition_continuous_at_edge(self, e):
-        # the exterior alpha Ai(s) + beta Bi(s) at the edge, in the
-        # interior solution's normalization
+        # the exterior cos(phase) Ai(s) + sin(phase) Bi(s) at the edge, in
+        # the interior solution's normalization exp(log_response / 2)
         m = match_amplitude(FIG, e)
         inside, _ = interior_wave(FIG, e, FIG.edge)
         sigma = (2.0 * FIG.tilt) ** (1.0 / 3.0)
         turning = (e - 0.125 * FIG.size**2) / FIG.tilt
         ai, _, bi, _ = airy(sigma * (FIG.edge - turning))
-        outside = (m.ai_coeff * ai + m.bi_coeff * bi) / m.interior_amplitude
+        r = math.exp(0.5 * m.log_response)
+        outside = (math.cos(m.phase) * ai + math.sin(m.phase) * bi) / r
         assert outside == pytest.approx(inside, rel=1e-10)
 
-    def test_response_is_exp_log_response(self):
-        m = match_amplitude(FIG, 0.7)
-        assert m.response == pytest.approx(math.exp(m.log_response), rel=1e-12)
-
     def test_on_resonance_response_dominates(self):
-        on = match_amplitude(FIG, 0.366).response
-        off = match_amplitude(FIG, 0.3).response
-        assert on / off >= 1e3
+        on = match_amplitude(FIG, 0.366).log_response
+        off = match_amplitude(FIG, 0.3).log_response
+        assert on - off >= math.log(1e3)
 
     def test_far_tail_is_small_relative_to_peak(self):
         # ten widths off the ground resonance the response has fallen to
         # the percent scale of the peak (Lorentzian tail ~ 1/401)
         e0, gamma = 0.3655242, 1.6363e-3
-        p0 = match_amplitude(FIG, e0).response
+        p0 = match_amplitude(FIG, e0).log_response
         for sgn in (-1.0, 1.0):
-            tail = match_amplitude(FIG, e0 + sgn * 10.0 * gamma).response
-            assert tail <= 0.02 * p0
+            tail = match_amplitude(FIG, e0 + sgn * 10.0 * gamma).log_response
+            assert tail - p0 <= math.log(0.02)
 
     def test_scalar_call_equals_array_call_bit_for_bit(self):
         # one kernel: a float energy runs the same arithmetic as an array
@@ -143,8 +146,7 @@ class TestMatchAmplitude:
         batch = match_amplitude(FIG, energies)
         for i, e in enumerate(energies):
             one = match_amplitude(FIG, float(e))
-            for name in ("ai_coeff", "bi_coeff", "interior_amplitude", "phase",
-                         "log_response"):
+            for name in ("phase", "log_response"):
                 assert getattr(one, name) == getattr(batch, name)[i], (name, e)
 
     def test_array_error_names_first_bad_energy(self):
@@ -172,9 +174,7 @@ class TestMatchAmplitude:
             window = energies[start:start + n].copy()
             small = match_amplitude(FIG, window)
             assert kernel_calls == [1]
-            assert small.energy is window
-            for name in ("ai_coeff", "bi_coeff", "interior_amplitude", "phase",
-                         "log_response"):
+            for name in ("phase", "log_response"):
                 got, want = getattr(small, name), getattr(full, name)[start:start + n]
                 assert got.dtype == want.dtype and got.shape == (n,), name
                 assert got.tobytes() == want.tobytes(), (name, start)
@@ -466,7 +466,7 @@ class TestBlockScan:
         block = scattering._match(scattering._Trap(*columns[:, trap]), energies)
         for t, spec in enumerate(specs):
             m = match_amplitude(spec, energies[trap == t])
-            want = (m.ai_coeff, m.bi_coeff, m.interior_amplitude, m.phase, m.log_response)
+            want = (m.phase, m.log_response)
             for got, field in zip(block, want):
                 assert got[trap == t].tobytes() == np.asarray(field).tobytes()
 
