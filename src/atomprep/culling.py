@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,8 +309,12 @@ def fidelity_map(
         Excited-state residual the holding time is chosen against.
     workers : int
         Process count for the sweep, >= 1; 1 runs in-process.  At most
-        one process per block and per CPU is started, each scanning whole
-        blocks; a grid without a bound cell starts none.
+        one process per block and per CPU this process may run on (its
+        affinity set, else every CPU of the host) is started, each
+        scanning whole blocks; a grid without a bound cell starts none.
+        Before starting the pool the parent imports scipy.optimize, which
+        nothing else imports until the first fit: forked workers inherit
+        it, so no worker of a pooled map pays that import again.
     """
     check_count("workers", workers, 1)
     check_count("nz", nz, 1)
@@ -325,12 +328,20 @@ def fidelity_map(
     cells = [MapCell(spec.size, spec.tilt, STATUS_OUT_OF_RANGE) for spec in specs]
     bound = [k for k, spec in enumerate(specs) if excited_state_bound(spec)]
     n = len(bound)
-    workers = max(1, min(workers, n, os.cpu_count() or 1))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(workers, n, cpus))
     # interleaved blocks, so each one mixes cells from the whole grid
     n_blocks = min(n, workers * math.ceil(n / (workers * MAP_BLOCK_CELLS)))
     blocks = [bound[b::n_blocks] for b in range(n_blocks)]
     tasks = [([specs[k] for k in block], residual_target) for block in blocks]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # The workers fit, and forked workers inherit this process's
+        # modules: imported once here, not once per worker per map.
+        import scipy.optimize  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_scan_block, tasks, chunksize=1))
     else:

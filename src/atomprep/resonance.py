@@ -9,6 +9,10 @@ independent of how narrow the resonance is.  Fits run MINPACK's
 Levenberg-Marquardt (lmdif) through scipy.optimize.leastsq, with no
 covariance estimate: only the parameters are used.  A fit that does not
 converge, or a window with a non-finite sample, raises NumericalError.
+scipy.optimize is imported at the first fit and scipy.integrate at the
+first spectral transform, not with this module, so a run that neither
+fits nor transforms (split-fidelity, split-gap, dfg-estimates,
+units-convert) loads neither.
 A Resonance is always such a fitted line.  An unresolved-narrow peak has
 none: fit_lorentzian raises WidthUnresolvedError, and phase_slope_width
 probed at the scan's resolution floor bounds its width instead.
@@ -42,8 +46,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import leastsq
 
 from . import scattering
 from ._arrays import first_failing
@@ -188,6 +190,8 @@ def _fit(shape, xi, q, width0):
 
     if not (np.isfinite(xi).all() and np.isfinite(q).all()):
         raise NumericalError("non-finite sample in the fit window")
+    from scipy.optimize import leastsq
+
     b0 = float(np.min(q))
     p, ier = leastsq(lambda params: shape(xi, *params) - q, (1.0 - b0, 0.0, width0, b0),
                      maxfev=20000)
@@ -304,6 +308,8 @@ def survival_from_spectrum(
         raise DomainError(
             f"Fourier window [{lo:g}, {hi:g}] leaves the usable range (0, {cap:g})"
         )
+
+    from scipy.integrate import quad
 
     ref = res.log_amplitude if math.isfinite(res.log_amplitude) else 0.0
 

@@ -1,12 +1,15 @@
 """Holding-time selection, the fidelity-loss map, and the SI hold report."""
 
+import concurrent.futures
 import math
+import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 from pytest import approx
 
-from atomprep import cli, culling, resonance
+from atomprep import cli, culling
 from atomprep.culling import (
     CullingPoint,
     FidelityMap,
@@ -238,7 +241,7 @@ class TestFidelityMap:
             c.status == STATUS_ERROR for c in mixed_map.cells]
 
     def test_unconverged_fit_becomes_an_error_cell(self, monkeypatch):
-        monkeypatch.setattr(resonance, "leastsq", lambda *a, **k: (np.ones(4), 5))
+        monkeypatch.setattr(scipy.optimize, "leastsq", lambda *a, **k: (np.ones(4), 5))
         m = fidelity_map((4.6, 4.6), (0.5, 0.5), 1, 1)
         cell = m.cells[0]
         assert cell.status == STATUS_ERROR and cell.point is None
@@ -379,8 +382,9 @@ class TestFidelityMap:
                 chunks.append(chunksize)
                 return map(fn, tasks)
 
-        monkeypatch.setattr(culling, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(culling.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
         return sizes, chunks
 
     @pytest.mark.parametrize("workers, cpus, cells, started", [

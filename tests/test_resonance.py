@@ -16,6 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from atomprep import cli, resonance, scattering
@@ -171,7 +172,7 @@ class TestFitAgainstCurveFit:
             assert residual == float(np.sqrt(np.mean((shape(xi, *want) - q) ** 2))) / abs(want[0])
 
     def test_unconverged_fit_raises(self, fig_spectrum, monkeypatch):
-        monkeypatch.setattr(resonance, "leastsq", lambda *a, **k: (np.ones(4), 5))
+        monkeypatch.setattr(scipy.optimize, "leastsq", lambda *a, **k: (np.ones(4), 5))
         with pytest.raises(NumericalError, match=r"lorentz fit did not converge \(MINPACK info 5\)"):
             fit_lorentzian(fig_spectrum, 0)
 
@@ -268,7 +269,7 @@ class TestLazyDiagnostics:
 
     def test_unconverged_gaussian_raises_on_read(self, fig_spectrum, monkeypatch):
         res = fit_lorentzian(fig_spectrum, 0)
-        monkeypatch.setattr(resonance, "leastsq", lambda *a, **k: (np.ones(4), 5))
+        monkeypatch.setattr(scipy.optimize, "leastsq", lambda *a, **k: (np.ones(4), 5))
         with pytest.raises(NumericalError, match=r"gauss fit did not converge"):
             res.fit_residual_gauss
 
