@@ -7,16 +7,14 @@ weights.  Callers pass the spacing: the split levels use their grid
 spec's nominal spacing, propagation the first node difference.
 
 A Crank-Nicolson step solves A psi' = B psi with A = 1 + i dt H/2 and
-B = 1 - i dt H/2.  A static run (a decay run, potential given as an
-array) sets its band once and calls solve_banded on the grid;
-crank_nicolson says why.  A driven run (the split ramp) takes its
-potential as a Drive: fixed profiles on the grid times per-step
-weights, all checked before the first step, and a basis of K
-orthonormal columns whose span holds the run.  The stencil and the
-profiles are projected onto the basis once (Galerkin), and since
-A + B = 2, psi' = A^-1 B psi = 2 chi - psi with A chi = psi, so a step
-is one dot product for the K x K matrix A, one LAPACK zgesv solve and
-2 chi - psi, whatever the grid.
+B = 1 - i dt H/2.  A static run (a decay run) sets its band once and
+calls solve_banded on the grid; crank_nicolson says why.  The split
+ramp's potential is a sum of fixed profiles on the grid times per-step
+weights, run in the span of K orthonormal columns (a reduced basis).
+The stencil and the profiles are projected onto the basis once
+(Galerkin), and since A + B = 2, psi' = A^-1 B psi = 2 chi - psi with
+A chi = psi, so a step is one dot product for the K x K matrix A, one
+LAPACK zgesv solve and 2 chi - psi, whatever the grid.
 
 The lowest real levels cost a few tridiagonal solves each.  Since the
 kinetic part is positive definite, min V lies below every level; a
@@ -32,14 +30,13 @@ certified raises NumericalError; none is returned unchecked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz, zgesv
 
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, NumericalError
 
 # Level iteration (lowest_levels).  A converged state's residual
 # |H x - rho x| was measured at most 7.3 eps |H| over 228 shapes at
@@ -54,22 +51,6 @@ _RQI_STEPS = 20
 _LOBE = 0.1
 # Seed of the parity-free starts for the states the start block misses.
 _SEED = 20090612
-
-
-@dataclass(frozen=True)
-class Drive:
-    """A time-dependent potential V(t) = weights(t) @ profiles, run in the
-    span of a basis.
-
-    profiles is an (m, n) array of fixed potentials on the n grid nodes;
-    weights maps an array of k times to the (k, m) array of their
-    weights; basis is an (n, K) array whose columns are orthonormal
-    under the plain sum over the nodes.
-    """
-
-    profiles: np.ndarray
-    weights: Callable[[np.ndarray], np.ndarray]
-    basis: np.ndarray
 
 
 def integral(grid: np.ndarray, h: float, values: np.ndarray, bounds: tuple | None = None):
@@ -307,38 +288,31 @@ def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
         yield psi
 
 
-def driven_crank_nicolson(c: np.ndarray, h: float, dt: float, n_steps: int,
-                          drive: Drive) -> Iterator[np.ndarray]:
-    """Yield the basis coefficients after each of n_steps Crank-Nicolson
-    steps of a Drive, taken at each step's midpoint, in its basis's span.
+def driven_crank_nicolson(c: np.ndarray, h: float, dt: float, weights: np.ndarray,
+                          profiles: np.ndarray, basis: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the basis coefficients after each Crank-Nicolson step of
+    the potential weights[k] @ profiles, one step per row of weights, in
+    the span of basis.
 
-    The stencil and each profile are projected once onto the basis Q
-    (Galerkin: Q^T H Q, K x K).  Since A + B = 2, c' = A^-1 B c =
-    2 chi - c with A chi = c, so a step is one dot product for A and one
-    K x K LAPACK zgesv solve.  The weights of every step are checked
-    first: a table of the wrong shape raises ConfigurationError, and
-    non-finite weights DomainError naming the first bad step.  The
-    caller checks c, the profiles and the basis.
+    weights is an (n_steps, m) table of each step's midpoint weights,
+    profiles an (m, n) array of fixed potentials on the n grid nodes,
+    and basis an (n, K) array whose columns are orthonormal under the
+    plain sum over the nodes.  The stencil and each profile are
+    projected once onto the basis Q (Galerkin: Q^T H Q, K x K).  Since
+    A + B = 2, c' = A^-1 B c = 2 chi - c with A chi = c, so a step is
+    one dot product for A and one K x K LAPACK zgesv solve.  The caller
+    checks every input.
     """
-    m = len(drive.profiles)
-    weights = np.asarray(drive.weights((np.arange(n_steps) + 0.5) * dt), dtype=float)
-    if weights.shape != (n_steps, m):
-        raise ConfigurationError(f"drive weights have shape {weights.shape}, not {(n_steps, m)}")
-    finite = np.isfinite(weights).all(axis=1)
-    if not finite.all():
-        raise DomainError(
-            f"drive weights are not finite at step {int(np.argmin(finite)) + 1} of {n_steps}"
-        )
+    n_steps, m = weights.shape
     table = np.ones((n_steps, m + 1))
     table[:, :m] = weights
     del weights
-    basis = drive.basis
     size = basis.shape[1]
     # The stencil's part of Q^T H Q: the off-diagonal couples each node's
     # row of Q to the next one's, so no n x K product is formed.
     neighbours = basis[1:].T @ basis[:-1]
     kinetic = (basis.T @ basis - 0.5 * (neighbours + neighbours.T)) / (h * h)
-    terms = [basis.T @ (profile[:, np.newaxis] * basis) for profile in drive.profiles]
+    terms = [basis.T @ (profile[:, np.newaxis] * basis) for profile in profiles]
     # A = 1 + i dt/2 (table[k] @ terms) is written by one dot per step
     # straight into its complex buffer, read as interleaved (real,
     # imaginary) floats: the terms, scaled by dt/2, fill the imaginary

@@ -6,16 +6,16 @@ edges and renormalized), propagates it with the Crank-Nicolson stepper
 of the shared grid Hamiltonian (`_grid`: three-point kinetic stencil,
 hard-wall boundaries), and records the probability remaining inside the
 trap.  The same stencil drives the time-dependent double well for
-splitting ramps, where the split levels come from it too.  A
-time-dependent potential is a Drive: fixed profiles on the grid times
-weights per step, run in the span of a basis.  The split's double well
-is affine in the profiles x^2/2, |x|, x and 1, with weights
+splitting ramps, where the split levels come from it too.  The split's
+double well is affine in the profiles x^2/2, |x|, x and 1, with weights
 (1, -d/2, f, d^2/8) interpolated from the ramp at every step midpoint
 at once.  A slow ramp keeps the atom in the span of the few lowest
 instantaneous eigenstates, so the split's basis holds the lowest states
 at a few ramp rows (a reduced basis; Quarteroni, Manzoni and Negri,
 Reduced Basis Methods for PDEs, Springer 2016), and a step costs a
 K x K solve with K about 30 instead of a solve on the grid.
+split_fidelity runs that stepper itself; propagate runs one static
+potential on the grid.
 
 Crank-Nicolson is unconditionally stable and exactly norm-preserving
 for Hermitian Hamiltonians, so deviations from unitarity measure
@@ -41,13 +41,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _grid, splitting
-from ._grid import Drive
 from .errors import ConfigurationError, DomainError, NumericalError, check_count
 from .potential import TrapSpec, eval_double_well, eval_trap
 from .resonance import Resonance
 from .scattering import interior_wave
 
-# Accuracy bound on the time step for the three-point stencil.
+# Accuracy bound on the time step (_steps): the grid step of the static
+# runs (decay runs, the reflection probe) and the K-space step of the split.
 MAX_DT = 0.02
 # Grid spacing for propagation runs.
 SPACING = 0.02
@@ -59,7 +59,7 @@ ABSORBER_FRACTION = 0.2
 ABSORBER_STRENGTH = 30.0
 # Interior padding above the uphill trap edge.
 INTERIOR_PAD = 6.0
-# The split's reduced basis (_split_drive): the lowest SNAPSHOT_STATES
+# The split's reduced basis (_split_basis): the lowest SNAPSHOT_STATES
 # states at up to SNAPSHOT_ROWS ramp rows, kept down to singular values of
 # SNAPSHOT_CUT times the largest.  Measured at the paper point (4.82, 0.12,
 # T = 400, dt = 0.02; infidelity 1.2206461191e-5 here, 1.2206461190e-5 by
@@ -74,9 +74,6 @@ INTERIOR_PAD = 6.0
 SNAPSHOT_ROWS = 11
 SNAPSHOT_STATES = 4
 SNAPSHOT_CUT = 1e-10
-# Largest deviation from orthonormality of a Drive's basis, and largest
-# relative part of the initial state outside its span.
-BASIS_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -175,68 +172,66 @@ def _require_finite(name: str, values: np.ndarray) -> None:
         raise DomainError(f"{name} has non-finite values")
 
 
+def _steps(dt: float, t_final: float) -> tuple[int, float]:
+    """Count and length of the equal steps that make up t_final.
+
+    dt must lie in (0, MAX_DT] and t_final be finite and nonnegative.
+    t_final is split into round(t_final / dt) steps, or into just enough
+    more that none exceeds MAX_DT; a zero t_final takes none.
+    """
+    if not 0.0 < dt <= MAX_DT:
+        raise ConfigurationError(f"dt must be in (0, {MAX_DT}], got {dt}")
+    if not (math.isfinite(t_final) and t_final >= 0.0):
+        raise DomainError(f"t_final must be finite and nonnegative, got {t_final}")
+    n_steps = max(1, int(round(t_final / dt))) if t_final > 0.0 else 0
+    while n_steps and t_final / n_steps > MAX_DT:  # round() rounded down
+        n_steps += 1
+    return n_steps, (t_final / n_steps if n_steps else 0.0)
+
+
+def _check_norm(norm: float, norm0: float, t: float) -> None:
+    if norm > norm0 + 1e-6:
+        raise NumericalError(f"norm grew to {norm:.9g} at t={t:g}; propagation unstable")
+
+
 def propagate(
     psi0: WavePacket,
-    potential: Drive | np.ndarray,
+    potential: np.ndarray,
     dt: float,
     t_final: float,
     absorber: np.ndarray | None = None,
     survival_bounds: tuple[float, float] | None = None,
     min_samples: int = 100,
 ) -> PropagationResult:
-    """Crank-Nicolson propagation with optional absorber.
+    """Crank-Nicolson propagation of a static potential with optional
+    absorber.
 
-    potential is either a static array on psi0's grid or a Drive, whose
-    (m, n) profiles sit on that grid and whose weights are taken at the
-    step midpoints t + dt/2; any other kind, a callable among them,
-    raises ConfigurationError.  A Drive runs in the span of its basis
-    (n x K, orthonormal columns): psi0, the stencil and the profiles are
-    projected once, each step is a K x K solve, and states return to the
-    grid only at the survival samples and at the end.  A basis that does
-    not fit the grid or is not orthonormal, a psi0 outside its span, or
-    an absorber with a Drive raise ConfigurationError.  Survival is the
-    weighted norm over survival_bounds (the full grid when None),
-    sampled at at least min_samples (an integer >= 1) times.  dt must not
-    exceed MAX_DT; t_final is split into round(t_final / dt) equal steps,
-    or into just enough more that none exceeds MAX_DT.
-    All inputs are checked before the first step: a non-finite t_final,
-    or non-finite values in psi0, the potential, a Drive's profiles,
-    basis or weights, or the absorber raise DomainError (a weight names
-    its step).  Without an absorber, norm growth beyond 1e-6 aborts with
-    a numerical-failure error.
+    potential is an array on psi0's grid; any other kind, a callable
+    among them, raises ConfigurationError, as do psi0 values or an
+    absorber that do not match the grid.  Survival is the weighted norm
+    over survival_bounds (the full grid when None), sampled at at least
+    min_samples (an integer >= 1) times.  dt must not exceed MAX_DT;
+    t_final is split into round(t_final / dt) equal steps, or into just
+    enough more that none exceeds MAX_DT (_steps).  All inputs are
+    checked before the first step: a non-finite t_final, or non-finite
+    values in psi0, the potential or the absorber raise DomainError.
+    Without an absorber, norm growth beyond 1e-6 aborts with a
+    numerical-failure error.
     """
 
-    if not 0.0 < dt <= MAX_DT:
-        raise ConfigurationError(f"dt must be in (0, {MAX_DT}], got {dt}")
-    if not (math.isfinite(t_final) and t_final >= 0.0):
-        raise DomainError(f"t_final must be finite and nonnegative, got {t_final}")
+    n_steps, step = _steps(dt, t_final)
     check_count("min_samples", min_samples, 1)
     grid = psi0.grid
     h = psi0.spacing
+    if psi0.values.shape != grid.shape:
+        raise ConfigurationError("initial state does not match the grid")
     _require_finite("initial state", psi0.values)
-    if isinstance(potential, Drive):
-        profiles = np.asarray(potential.profiles, dtype=float)
-        if profiles.ndim != 2 or profiles.shape[1:] != grid.shape:
-            raise ConfigurationError("drive profiles do not match the grid")
-        _require_finite("drive profiles", profiles)
-        basis = np.asarray(potential.basis, dtype=float)
-        if basis.ndim != 2 or basis.shape[0] != len(grid) or basis.shape[1] < 1:
-            raise ConfigurationError("drive basis does not match the grid")
-        _require_finite("drive basis", basis)
-        if np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) > BASIS_TOLERANCE:
-            raise ConfigurationError("drive basis columns are not orthonormal")
-        if absorber is not None:
-            raise ConfigurationError("a Drive takes no absorber")
-        potential = Drive(profiles, potential.weights, basis)
-    elif isinstance(potential, np.ndarray):
-        potential = np.asarray(potential, dtype=float)
-        if potential.shape != grid.shape:
-            raise ConfigurationError("potential array does not match the grid")
-        _require_finite("potential", potential)
-    else:
-        raise ConfigurationError(
-            f"potential must be an array or a Drive, not {type(potential).__name__}"
-        )
+    if not isinstance(potential, np.ndarray):
+        raise ConfigurationError(f"potential must be an array, not {type(potential).__name__}")
+    potential = np.asarray(potential, dtype=float)
+    if potential.shape != grid.shape:
+        raise ConfigurationError("potential array does not match the grid")
+    _require_finite("potential", potential)
     if absorber is not None:
         absorber = np.asarray(absorber, dtype=float)
         _require_finite("absorber", absorber)
@@ -246,49 +241,24 @@ def propagate(
     def measure(values: np.ndarray, bounds=survival_bounds) -> float:
         return float(_grid.integral(grid, h, np.abs(values) ** 2, bounds))
 
-    n_steps = max(1, int(round(t_final / dt))) if t_final > 0.0 else 0
-    while n_steps and t_final / n_steps > MAX_DT:  # round() rounded down
-        n_steps += 1
     if t_final > 0.0 and n_steps + 1 < min_samples:
         raise ConfigurationError(
             f"{n_steps} steps cannot yield {min_samples} survival samples; "
             "reduce dt or min_samples"
         )
-    step = t_final / n_steps if n_steps else 0.0
     stride = max(1, n_steps // max(min_samples - 1, 1))
 
     psi = psi0.values.astype(complex)
     norm0 = psi0.norm
-    if isinstance(potential, Drive):
-        basis = potential.basis
-
-        def to_grid(c: np.ndarray) -> np.ndarray:
-            # real and imaginary parts apart: a real basis times a complex
-            # vector would copy the basis to complex
-            return basis @ c.real + 1j * (basis @ c.imag)
-
-        state = basis.T @ psi.real + 1j * (basis.T @ psi.imag)
-        if np.linalg.norm(psi - to_grid(state)) > BASIS_TOLERANCE * np.linalg.norm(psi):
-            raise ConfigurationError("initial state lies outside the drive basis")
-        steps = _grid.driven_crank_nicolson(state, h, step, n_steps, potential)
-    else:
-        steps = _grid.crank_nicolson(psi, h, step, n_steps, potential, absorber)
-        to_grid = np.asarray
-
     times = [0.0]
     survival = [measure(psi)]
-    for done, state in enumerate(steps, 1):
+    steps = _grid.crank_nicolson(psi, h, step, n_steps, potential, absorber)
+    for done, psi in enumerate(steps, 1):
         if done % stride == 0 or done == n_steps:
-            psi = to_grid(state)
             times.append(done * step)
             survival.append(measure(psi))
             if absorber is None:
-                total = measure(psi, bounds=None)
-                if total > norm0 + 1e-6:
-                    raise NumericalError(
-                        f"norm grew to {total:.9g} at t={done * step:g}; "
-                        "propagation unstable"
-                    )
+                _check_norm(measure(psi, bounds=None), norm0, done * step)
 
     return PropagationResult(
         times=np.array(times),
@@ -368,6 +338,12 @@ def split_fidelity(
     is its squared overlap with the ground state of the final one.  The
     eigensolver shares the propagation grid, so discretization biases
     largely cancel in the overlap.
+
+    The run steps in the ramp's reduced basis (_split_basis), with the
+    steps of propagate's rule (_steps): dt above MAX_DT raises
+    ConfigurationError.  The state returns to the grid once, at the
+    end; a grid norm there more than 1e-6 above the start's raises
+    NumericalError.
     """
 
     rows = [(float(t), float(d), float(f)) for t, d, f in ramp]
@@ -385,32 +361,38 @@ def split_fidelity(
     if np.any(np.diff(seps) < -1e-9):
         raise DomainError("separation must be nondecreasing along the ramp")
 
+    n_steps, step = _steps(dt, float(times[-1]))
     grid_spec = splitting.default_grid(
         float(seps.max()), float(np.abs(tilts).max()), spacing=0.01
     )
-    drive, start, target = _split_drive(times, seps, tilts, grid_spec)
+    basis, start, target = _split_basis(times, seps, tilts, grid_spec)
     grid = start.grid
     psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
-    out = propagate(psi0, drive, dt, float(times[-1]), min_samples=2)
+    c = (basis.T @ start.wavefunctions[0]).astype(complex)
+    # The weight table goes straight to the stepper, which drops it once
+    # it has built its own.
+    for c in _grid.driven_crank_nicolson(c, psi0.spacing, step,
+                                         _split_weights(times, seps, tilts, n_steps, step),
+                                         _split_profiles(grid), basis):
+        pass
+    # real and imaginary parts apart: a real basis times a complex vector
+    # would copy the basis to complex
+    final = WavePacket(grid=grid, values=basis @ c.real + 1j * (basis @ c.imag))
+    _check_norm(final.norm, psi0.norm, n_steps * step)
     ghost = WavePacket(grid=grid, values=target.wavefunctions[0].astype(complex))
-    return float(abs(ghost.overlap(out.final_state)) ** 2)
+    return float(abs(ghost.overlap(final)) ** 2)
 
 
-def _split_drive(times, seps, tilts, grid_spec: splitting.GridSpec
-                 ) -> tuple[Drive, splitting.WellLevels, splitting.WellLevels]:
-    """The ramp's double well as a Drive, with the levels at its first
-    and last rows.
-
-    V = (|x| - d/2)^2 / 2 + f x = x^2/2 - (d/2)|x| + f x + d^2/8, so the
-    profiles are x^2/2, |x|, x and 1, and the weights (1, -d/2, f, d^2/8)
-    come from one np.interp of each ramp column over all times.  The
-    constant profile stays: a global phase leaves the exact fidelity
-    alone, but Crank-Nicolson's phase error depends on the energy zero.
+def _split_basis(times, seps, tilts, grid_spec: splitting.GridSpec
+                 ) -> tuple[np.ndarray, splitting.WellLevels, splitting.WellLevels]:
+    """The ramp's reduced basis, with the levels at its first and last
+    rows.
 
     The basis spans the SNAPSHOT_STATES lowest states at up to
     SNAPSHOT_ROWS evenly spaced ramp rows, the first and last always
     among them; their SVD keeps the directions whose singular values
-    exceed SNAPSHOT_CUT of the largest.
+    exceed SNAPSHOT_CUT of the largest.  Its columns are orthonormal
+    under the plain sum over the grid nodes.
     """
     rows = np.unique(np.round(np.linspace(0, len(times) - 1, min(SNAPSHOT_ROWS, len(times)))))
     grid = grid_spec.points()
@@ -422,13 +404,23 @@ def _split_drive(times, seps, tilts, grid_spec: splitting.GridSpec
             start = levels
     stack *= math.sqrt(grid_spec.spacing)
     vectors, values, _ = np.linalg.svd(stack, full_matrices=False)
-    basis = vectors[:, values > SNAPSHOT_CUT * values[0]]
-    profiles = np.array([eval_double_well(0.0, 0.0, grid), np.abs(grid), grid,
-                         np.ones_like(grid)])
+    return vectors[:, values > SNAPSHOT_CUT * values[0]], start, levels
 
-    def weights(t: np.ndarray) -> np.ndarray:
-        half = 0.5 * np.interp(t, times, seps)
-        return np.column_stack([np.ones_like(half), -half, np.interp(t, times, tilts),
-                                0.5 * half * half])
 
-    return Drive(profiles, weights, basis), start, levels
+def _split_profiles(grid: np.ndarray) -> np.ndarray:
+    """The double well's profiles x^2/2, |x|, x and 1 on the grid.
+
+    V = (|x| - d/2)^2 / 2 + f x = x^2/2 - (d/2)|x| + f x + d^2/8.  The
+    constant profile stays: a global phase leaves the exact fidelity
+    alone, but Crank-Nicolson's phase error depends on the energy zero.
+    """
+    return np.array([eval_double_well(0.0, 0.0, grid), np.abs(grid), grid, np.ones_like(grid)])
+
+
+def _split_weights(times, seps, tilts, n_steps: int, step: float) -> np.ndarray:
+    """The (n_steps, 4) weights (1, -d/2, f, d^2/8) of _split_profiles at
+    each step's midpoint, from one np.interp of each ramp column."""
+    t = (np.arange(n_steps) + 0.5) * step
+    half = 0.5 * np.interp(t, times, seps)
+    return np.column_stack([np.ones_like(half), -half, np.interp(t, times, tilts),
+                            0.5 * half * half])

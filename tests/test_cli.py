@@ -293,6 +293,12 @@ class TestSplitFidelityCommand:
         assert doc["bottleneck_gap"] >= doc["min_gap"]
         assert doc["path_nodes"] == 27
 
+    def test_time_step_above_max_dt_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "sf.json"
+        assert cli.run(["split-fidelity", "--sudden", "--dt", "0.05", "--out", str(out)]) == 2
+        assert "dt must be in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bias_outside_survey_exits_2(self, capsys, tmp_path):
         # the default survey spans tilts 0.08-0.16
         out = tmp_path / "sf.json"

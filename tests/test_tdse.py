@@ -29,9 +29,11 @@ from atomprep.splitting import (
 )
 from atomprep.tdse import (
     MAX_DT,
-    Drive,
     WavePacket,
-    _split_drive,
+    _split_basis,
+    _split_profiles,
+    _split_weights,
+    _steps,
     absorber_reflection,
     decay_run,
     downhill_absorber,
@@ -100,13 +102,6 @@ def _harmonic_basis(psi0):
     return (values / np.linalg.norm(values))[:, np.newaxis]
 
 
-def _harmonic_drive(psi0, weights):
-    """Drive of the single profile x^2/2 with the given weight function,
-    in the span of psi0."""
-    grid = psi0.grid
-    return Drive((0.5 * grid * grid)[np.newaxis], weights, _harmonic_basis(psi0))
-
-
 def _harmonic_ground(half_width=8.0, spacing=0.02):
     grid = uniform_grid(-half_width, half_width, spacing)
     values = np.exp(-0.5 * grid * grid).astype(complex)
@@ -123,7 +118,7 @@ def _split_run(ramp, dt):
     """
     times, seps, tilts = np.array(ramp).T.copy()
     spec = default_grid(float(seps.max()), float(np.abs(tilts).max()), 0.01)
-    drive, start, target = _split_drive(times, seps, tilts, spec)
+    basis, start, target = _split_basis(times, seps, tilts, spec)
     grid = start.grid
     psi0 = WavePacket(grid=grid, values=start.wavefunctions[0].astype(complex))
     ghost = WavePacket(grid=grid, values=target.wavefunctions[0].astype(complex))
@@ -132,11 +127,17 @@ def _split_run(ramp, dt):
         return eval_double_well(float(np.interp(t, times, seps)),
                                 float(np.interp(t, times, tilts)), grid)
 
-    run = propagate(psi0, drive, dt, float(times[-1]), min_samples=2).final_state
+    n_steps, step = _steps(dt, float(times[-1]))
+    c = (basis.T @ start.wavefunctions[0]).astype(complex)
+    for c in _grid.driven_crank_nicolson(c, psi0.spacing, step,
+                                         _split_weights(times, seps, tilts, n_steps, step),
+                                         _split_profiles(grid), basis):
+        pass
+    run = WavePacket(grid=grid, values=basis @ c.real + 1j * (basis @ c.imag))
     want = WavePacket(grid=grid, values=_reference_propagate(psi0, potential, dt,
                                                              float(times[-1])))
     distance = WavePacket(grid=grid, values=run.values - want.values).norm ** 0.5
-    return (drive.basis.shape[1], distance, 1.0 - abs(ghost.overlap(run)) ** 2,
+    return (basis.shape[1], distance, 1.0 - abs(ghost.overlap(run)) ** 2,
             1.0 - abs(ghost.overlap(want)) ** 2)
 
 
@@ -270,93 +271,19 @@ class TestPropagate:
             propagate(psi0, arrays["potential"], 0.01, 1.0, absorber=arrays["absorber"],
                       min_samples=2)
 
-    def test_driven_potential_turning_non_finite_raises(self, monkeypatch):
-        # the weights are checked for every step before the first one runs
-        psi0, grid = _harmonic_ground()
-        solves = []
-        monkeypatch.setattr(_grid, "zgesv", lambda *args: solves.append(args))
-        drive = _harmonic_drive(psi0, lambda t: np.where(t < 0.01, 1.0, math.nan)[:, None])
-        with pytest.raises(DomainError, match="step 2 of 100"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-        assert solves == []
-
-    def test_failed_tridiagonal_solve_raises(self, monkeypatch):
-        psi0, grid = _harmonic_ground()
-
-        def singular(a, b, *overwrite):
-            return a, np.arange(len(b)), b, 3
-
-        monkeypatch.setattr(_grid, "zgesv", singular)
-        drive = _harmonic_drive(psi0, lambda t: np.ones((len(t), 1)))
-        with pytest.raises(NumericalError, match="step 1"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    @pytest.mark.parametrize("shape", ["short rows", "one row, flat"])
-    def test_drive_profiles_must_match_grid(self, shape):
-        psi0, grid = _harmonic_ground()
-        profiles = {"short rows": np.zeros((2, len(grid) - 1)),
-                    "one row, flat": 0.5 * grid * grid}[shape]
-        drive = Drive(profiles, lambda t: np.ones((len(t), 1)), _harmonic_basis(psi0))
-        with pytest.raises(ConfigurationError, match="profiles"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    def test_drive_weights_must_have_one_column_per_profile(self):
-        psi0, grid = _harmonic_ground()
-        drive = _harmonic_drive(psi0, lambda t: np.ones((len(t), 2)))
-        with pytest.raises(ConfigurationError, match="weights have shape"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_drive_profiles_raise(self, bad):
-        psi0, grid = _harmonic_ground()
-        profiles = np.array([0.5 * grid * grid, grid])
-        profiles[1, len(grid) // 2] = bad
-        drive = Drive(profiles, lambda t: np.ones((len(t), 2)), _harmonic_basis(psi0))
-        with pytest.raises(DomainError, match="drive profiles"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    @pytest.mark.parametrize("shape", ["short rows", "no columns", "flat"])
-    def test_drive_basis_must_match_grid(self, shape):
-        psi0, grid = _harmonic_ground()
-        basis = {"short rows": _harmonic_basis(psi0)[1:], "no columns": np.zeros((len(grid), 0)),
-                 "flat": _harmonic_basis(psi0)[:, 0]}[shape]
-        drive = Drive((0.5 * grid * grid)[np.newaxis], lambda t: np.ones((len(t), 1)), basis)
-        with pytest.raises(ConfigurationError, match="basis does not match"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    def test_non_finite_drive_basis_raises(self):
-        psi0, grid = _harmonic_ground()
-        basis = _harmonic_basis(psi0)
-        basis[len(grid) // 2] = math.nan
-        drive = Drive((0.5 * grid * grid)[np.newaxis], lambda t: np.ones((len(t), 1)), basis)
-        with pytest.raises(DomainError, match="drive basis"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    def test_non_orthonormal_basis_raises(self):
-        # columns of unit length, 1e-6 away from orthogonal
-        psi0, grid = _harmonic_ground()
-        first = _harmonic_basis(psi0)[:, 0]
-        odd = grid * first
-        odd /= np.linalg.norm(odd)
-        skew = odd + 1e-6 * first
-        basis = np.column_stack([first, skew / np.linalg.norm(skew)])
-        drive = Drive((0.5 * grid * grid)[np.newaxis], lambda t: np.ones((len(t), 1)), basis)
-        with pytest.raises(ConfigurationError, match="not orthonormal"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
-    def test_initial_state_outside_basis_raises(self):
-        # the harmonic ground state against a basis of its first excited state
-        psi0, grid = _harmonic_ground()
-        odd = grid * psi0.values.real
-        drive = Drive((0.5 * grid * grid)[np.newaxis], lambda t: np.ones((len(t), 1)),
-                      (odd / np.linalg.norm(odd))[:, np.newaxis])
-        with pytest.raises(ConfigurationError, match="outside the drive basis"):
-            propagate(psi0, drive, 0.01, 1.0, min_samples=2)
-
     def test_callable_potential_raises(self):
         psi0, grid = _harmonic_ground()
-        with pytest.raises(ConfigurationError, match="array or a Drive"):
+        with pytest.raises(ConfigurationError, match="potential must be an array"):
             propagate(psi0, lambda t: 0.5 * grid * grid, 0.01, 1.0, min_samples=2)
+
+    def test_initial_state_must_match_grid(self):
+        # 500 values on 501 nodes: named before the first step, not a
+        # broadcasting error inside the loop
+        _, grid = _harmonic_ground(half_width=5.0)
+        psi0 = WavePacket(grid=grid, values=np.exp(-0.5 * grid[1:] ** 2).astype(complex))
+        assert (len(grid), len(psi0.values)) == (501, 500)
+        with pytest.raises(ConfigurationError, match="initial state"):
+            propagate(psi0, 0.5 * grid * grid, 0.01, 1.0, min_samples=2)
 
 
 class TestAgainstReferenceLoop:
@@ -391,23 +318,14 @@ class TestAgainstReferenceLoop:
         assert distance <= 2e-5
         assert infidelity == pytest.approx(want, rel=5e-9, abs=0.0)
 
-    def test_driven_run_with_absorber(self):
-        # no pipeline drives an absorbed run, and the K-space steps have no
-        # absorber term
-        grid = uniform_grid(-20.0, 8.0)
-        psi0 = WavePacket(grid=grid, values=np.exp(-((grid + 15.0) ** 2) - 4j * grid))
-        basis = (psi0.values.real / np.linalg.norm(psi0.values.real))[:, np.newaxis]
-        drive = Drive(grid[np.newaxis], lambda t: (0.5 + t)[:, np.newaxis], basis)
-        with pytest.raises(ConfigurationError, match="no absorber"):
-            propagate(psi0, drive, 0.004, 0.8, absorber=downhill_absorber(grid, 0.0),
-                      min_samples=2)
-
     def test_driven_norm_conserved_over_ten_thousand_steps(self):
         # |c|^2 of the K-space coefficients (K = 8); measured drift: 1.4e-14
         times, seps, tilts = np.array([0.0, 50.0]), np.array([0.0, 3.0]), np.array([0.12, 0.12])
-        drive, start, _ = _split_drive(times, seps, tilts, default_grid(3.0, 0.12, 0.02))
-        c = drive.basis.T @ (start.wavefunctions[0] * math.sqrt(0.02)).astype(complex)
-        for c_end in _grid.driven_crank_nicolson(c, 0.02, 0.005, 10000, drive):
+        basis, start, _ = _split_basis(times, seps, tilts, default_grid(3.0, 0.12, 0.02))
+        c = basis.T @ (start.wavefunctions[0] * math.sqrt(0.02)).astype(complex)
+        for c_end in _grid.driven_crank_nicolson(
+                c, 0.02, 0.005, _split_weights(times, seps, tilts, 10000, 0.005),
+                _split_profiles(start.grid), basis):
             pass
         assert abs(np.vdot(c_end, c_end).real - np.vdot(c, c).real) <= 1e-12
 
@@ -503,9 +421,8 @@ class TestSplitDrive:
     @pytest.mark.parametrize("separation,tilt", [(4.82, 0.12), (5.0, 0.14)])
     def test_weights_equal_scalar_interpolation(self, separation, tilt):
         times, seps, tilts = np.array(_short_ramp(separation, tilt)).T.copy()
-        spec = default_grid(separation, tilt, spacing=0.01)
         midpoints = (np.arange(2000) + 0.5) * 0.02
-        got = _split_drive(times, seps, tilts, spec)[0].weights(midpoints)
+        got = _split_weights(times, seps, tilts, 2000, 0.02)
         for t, row in zip(midpoints, got):
             half = 0.5 * float(np.interp(t, times, seps))
             f = float(np.interp(t, times, tilts))
@@ -517,22 +434,34 @@ class TestSplitDrive:
         # differently from eval_double_well: 2.1e-14 at most on both ramps,
         # against the 1e-12 asserted.
         times, seps, tilts = np.array(_short_ramp(separation, tilt)).T.copy()
-        spec = default_grid(separation, tilt, spacing=0.01)
-        grid = spec.points()
+        grid = default_grid(separation, tilt, spacing=0.01).points()
         midpoints = (np.arange(2000) + 0.5) * 0.02
-        drive = _split_drive(times, seps, tilts, spec)[0]
-        affine = drive.weights(midpoints) @ drive.profiles
+        affine = _split_weights(times, seps, tilts, 2000, 0.02) @ _split_profiles(grid)
         for t, row in zip(midpoints, affine):
             want = eval_double_well(float(np.interp(t, times, seps)),
                                     float(np.interp(t, times, tilts)), grid)
             assert np.max(np.abs(row - want)) <= 1e-12
+
+    def test_failed_zgesv_solve_raises(self, monkeypatch):
+        psi0, grid = _harmonic_ground()
+
+        def singular(a, b, *overwrite):
+            return a, np.arange(len(b)), b, 3
+
+        monkeypatch.setattr(_grid, "zgesv", singular)
+        basis = _harmonic_basis(psi0)
+        steps = _grid.driven_crank_nicolson(basis.T @ psi0.values, psi0.spacing, 0.01,
+                                            np.ones((100, 1)), (0.5 * grid * grid)[np.newaxis],
+                                            basis)
+        with pytest.raises(NumericalError, match="step 1"):
+            next(steps)
 
 
 class TestSplitFidelity:
     @pytest.mark.parametrize(
         "separation,tilt,infidelity",
         # recorded with the per-step potential and explicit right-hand side
-        # the drive replaced; 2000 steps each
+        # that the profiles and weights replaced; 2000 steps each
         [(4.82, 0.12, 0.05144527561285728), (5.0, 0.14, 0.041292745843514944)],
     )
     def test_short_ramps_pinned(self, separation, tilt, infidelity):
@@ -567,6 +496,30 @@ class TestSplitFidelity:
         monkeypatch.setattr(tdse, "SNAPSHOT_ROWS", 22)
         monkeypatch.setattr(tdse, "SNAPSHOT_STATES", 6)
         assert 1.0 - split_fidelity(ramp, dt=0.02) == pytest.approx(infidelity, rel=1e-7, abs=0.0)
+
+    def test_time_step_bound(self):
+        with pytest.raises(ConfigurationError, match="dt must be in"):
+            split_fidelity(_short_ramp(3.0, 0.12), dt=1.5 * MAX_DT)
+
+    def test_steps_never_exceed_max_dt(self, monkeypatch):
+        # a 0.05-long ramp at dt 0.02: round(2.5) = 2 steps of 0.025 would
+        # exceed MAX_DT, so the stepper gets 3 rows of weights
+        calls = []
+
+        def record(c, h, step, weights, profiles, basis):
+            calls.append((step, weights.shape))
+            return iter(())
+
+        monkeypatch.setattr(_grid, "driven_crank_nicolson", record)
+        split_fidelity(_short_ramp(3.0, 0.12, duration=0.05), dt=0.02)
+        [(step, shape)] = calls
+        assert shape == (3, 4)
+        assert step <= MAX_DT
+
+    def test_norm_growth_raises(self, monkeypatch):
+        monkeypatch.setattr(_grid, "driven_crank_nicolson", lambda c, *rest: iter([2.0 * c]))
+        with pytest.raises(NumericalError, match="norm grew"):
+            split_fidelity(_short_ramp(3.0, 0.12, duration=1.0), dt=0.02)
 
     def test_ramp_validation(self):
         with pytest.raises(DomainError):
