@@ -7,14 +7,15 @@ weights.  Callers pass the spacing: the split levels use their grid
 spec's nominal spacing, propagation the first node difference.
 
 A Crank-Nicolson step solves A psi' = B psi with A = 1 + i dt H/2 and
-B = 1 - i dt H/2.  A static run (a decay run) sets its band once and
-calls solve_banded on the grid; crank_nicolson says why.  The split
-ramp's potential is a sum of fixed profiles on the grid times per-step
-weights, run in the span of K orthonormal columns (a reduced basis).
-The stencil and the profiles are projected onto the basis once
-(Galerkin), and since A + B = 2, psi' = A^-1 B psi = 2 chi - psi with
-A chi = psi, so a step is one dot product for the K x K matrix A, one
-LAPACK zgesv solve and 2 chi - psi, whatever the grid.
+B = 1 - i dt H/2.  Since A + B = 2, psi' = A^-1 B psi = 2 chi - psi
+with A chi = psi, and both loops step that way.  A static run (a decay
+run) factors its tridiagonal A once on the grid (LAPACK zgttrf), so a
+step is one zgttrs solve and 2 chi - psi.  The split ramp's potential
+is a sum of fixed profiles on the grid times per-step weights, run in
+the span of K orthonormal columns (a reduced basis).  The stencil and
+the profiles are projected onto the basis once (Galerkin), so a step is
+one dot product for the K x K matrix A, one LAPACK zgesv solve and
+2 chi - psi, whatever the grid.
 
 The lowest real levels cost a few tridiagonal solves each.  Since the
 kinetic part is positive definite, min V lies below every level; a
@@ -33,8 +34,7 @@ import math
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz, zgesv
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz, zgesv, zgttrf, zgttrs
 
 from .errors import ConfigurationError, NumericalError
 
@@ -270,21 +270,23 @@ def crank_nicolson(psi: np.ndarray, h: float, dt: float, n_steps: int,
     """Yield psi after each of n_steps Crank-Nicolson steps of a static
     potential.
 
-    Each step solves (1 + i dt H/2) psi' = (1 - i dt H/2) psi.  The
-    caller checks psi, the potential and the absorber.
+    Each step solves (1 + i dt H/2) psi' = (1 - i dt H/2) psi.  A is
+    factored once by zgttrf; since A + B = 2, a step is one zgttrs
+    solve of A chi = psi and psi' = 2 chi - psi.  A factorization that
+    meets an exactly zero pivot raises NumericalError.  The caller
+    checks psi, the potential and the absorber.
     """
-    off = 0.5j * dt * _off_diagonal(h)
-    # The loop calls solve_banded each step.  Factoring the left-hand
-    # matrix once (ROADMAP item 4) waits for item 1: a faster loop fits more
-    # cull-verify jobs in the benchmark's time budget, and that workload's
-    # failure share moves with its job count.
-    band = np.zeros((3, len(psi)), dtype=complex)
-    band[0, 1:] = band[2, :-1] = off
-    half = 0.5j * dt * _diagonal(h, potential, absorber)
-    band[1] = 1.0 + half
-    explicit = 1.0 - half
+    off = np.full(len(psi) - 1, 0.5j * dt * _off_diagonal(h))
+    *factors, info = zgttrf(off, 1.0 + 0.5j * dt * _diagonal(h, potential, absorber), off)
+    if info:
+        raise NumericalError(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
     for _ in range(n_steps):
-        psi = solve_banded((1, 1), band, _explicit_product(explicit, off, psi))
+        # zgttrs returns a new array; its info is nonzero only for an
+        # illegal argument, which matching shapes rule out.
+        chi, _ = zgttrs(*factors, psi)
+        chi *= 2.0
+        chi -= psi
+        psi = chi
         yield psi
 
 
@@ -335,11 +337,3 @@ def driven_crank_nicolson(c: np.ndarray, h: float, dt: float, weights: np.ndarra
         chi -= c
         c = chi
         yield c
-
-
-def _explicit_product(explicit: np.ndarray, off: complex, psi: np.ndarray) -> np.ndarray:
-    """(1 - i dt H/2) psi as a new array, given its diagonal and off-diagonal."""
-    rhs = explicit * psi
-    rhs[1:] -= off * psi[:-1]
-    rhs[:-1] -= off * psi[1:]
-    return rhs
